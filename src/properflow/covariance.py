@@ -8,9 +8,13 @@ are aligned by proper-time step index sigma, never by coordinate time.
 Because the stepping rule advances each particle by proper time along its
 own flow and both the boost and the velocity transformation are exact,
 the discrete update commutes with the frame change: deviations measure
-only floating-point noise, not a scheme-order residual.  The convergence
-study still fits a log-log order so that any covariance-breaking change
-to the integrator becomes visible as a nonzero-order signal.
+only floating-point noise, not a scheme-order residual.  A
+covariance-breaking change to the integrator shows up as a frame
+deviation above ``DEVIATION_FLOOR``, not as a fitted order:
+coordinate-time steps (dt = epsilon, dz = v epsilon) deviate by about
+0.38 at every epsilon of the acceptance study, a fitted order of -0.00.
+The convergence study reports an order only when some deviation clears
+the floor.
 """
 
 from __future__ import annotations

@@ -249,7 +249,9 @@ def _timelike_lambda(a2, r_t, r_z, m: float):
     the characteristic polynomial; the larger eigenvalue always belongs to
     the timelike eigenvector for tensors assembled from gradients.  Used
     for sampling weights only; the guidance law itself goes through
-    ``eigenflows``.
+    ``eigenflows``, and a test ties the two to rounding.  This array copy
+    of the formula goes once ``eigenflows`` accepts arrays, which a
+    lockstep batched ensemble needs (see ROADMAP.md).
     """
     pt, st = r_t.real, r_t.imag
     pz, sz = r_z.real, r_z.imag

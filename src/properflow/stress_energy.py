@@ -12,13 +12,16 @@ normalization is twice the canonical tensor; eigenvectors, and hence the
 guidance velocity, are insensitive to it.
 
 The flow direction at a point is the future-pointing timelike eigenvector
-of T^mu_nu.  For tensors of the form above the two eigenvalues are always
-real; one eigenvector is timelike and one spacelike whenever the P and S
-gradient pairs are linearly independent.  The closed-form branch velocity
-(``velocity_closed_form``) reproduces the same direction where its branch
-parameter theta is defined and is kept only as a cross-check: it
-degenerates on every pure product or stationary configuration (P.S = 0),
-while the eigenvector route stays regular there.
+of T^mu_nu.  ``eigenflows`` finds it in plain floats: the two roots come
+from the characteristic discriminant, each eigenvector from the larger
+row of T - lambda I, and the timelike one is picked by the sign of its
+Minkowski norm.  For tensors of the form above the two eigenvalues are
+always real; one eigenvector is timelike and one spacelike whenever the
+P and S gradient pairs are linearly independent.  The closed-form branch
+velocity (``velocity_closed_form``) reproduces the same direction where
+its branch parameter theta is defined and is kept only as a cross-check:
+it degenerates on every pure product or stationary configuration
+(P.S = 0), while the eigenvector route stays regular there.
 """
 
 from __future__ import annotations
@@ -87,16 +90,21 @@ class StressTensor:
 
 @dataclass(frozen=True)
 class TimelikeFlow:
-    """Future-pointing timelike eigenvector and its companions.
+    """Timelike eigenvalue, its spacelike companion and the flow velocity.
 
-    w is normalized to unit Minkowski norm with w.t > 0; v = w.z / w.t is
-    the guidance velocity, strictly subluminal.
+    v = w.z / w.t is the guidance velocity, strictly subluminal; the unit
+    future-pointing timelike eigenvector w = gamma (1, v) is derived from
+    it on demand.
     """
 
-    w: FourVector
     lambda_time: float
     lambda_space: float
     v: float
+
+    @property
+    def w(self) -> FourVector:
+        gamma = 1.0 / math.sqrt((1.0 - self.v) * (1.0 + self.v))
+        return FourVector(t=gamma, z=gamma * self.v)
 
 
 def assemble(ld: LogDerivatives, i: int, m: float) -> StressTensor:
@@ -118,40 +126,33 @@ def assemble(ld: LogDerivatives, i: int, m: float) -> StressTensor:
     )
 
 
-def _split_index(vecs: np.ndarray) -> int | None:
-    """Column index of the timelike eigenvector, or None when the columns
-    do not split into one timelike and one spacelike direction."""
-    norms = vecs[0] * vecs[0] - vecs[1] * vecs[1]
-    if int((norms > 0.0).sum()) == 1 and int((norms < 0.0).sum()) == 1:
-        return int(np.argmax(norms > 0.0))
-    return None
+def _row_eigvec(T: StressTensor, lam: float) -> tuple[float, float]:
+    """Eigenvector of T for eigenvalue lam from the larger row of T - lam I.
 
-
-def _explicit_eigvecs(T: StressTensor, tr: float, disc: float):
-    """Eigenpairs from the quadratic formula and the rows of T - lambda I.
-
-    Backstop for nearly lightlike flows: once the component scale is many
-    orders above the timelike margin, the backward-stable solver returns
-    columns rounded onto the light cone, while each row of T - lambda I
-    subtracts exactly representable components and keeps the timelike and
-    spacelike directions resolvable.  Per eigenvalue the larger of the two
-    defining rows is used.
+    A row (a, b) of the rank-one matrix T - lam I annihilates the
+    eigenvector, so the eigenvector is (b, -a) up to scale; the larger row
+    carries the smaller relative rounding error.  Each entry subtracts
+    exactly representable components, so nearly lightlike directions stay
+    resolvable where a backward-stable solver rounds onto the light cone.
     """
-    root = math.sqrt(disc)
-    vals = np.array([0.5 * (tr + root), 0.5 * (tr - root)])
-    cols = []
-    for lam in vals:
-        rows = ((T.tz, lam - T.tt), (lam - T.zz, T.zt))
-        cols.append(max(rows, key=lambda u: max(abs(u[0]), abs(u[1]))))
-    return vals, np.array(cols).T
+    r1t, r1z = T.tz, lam - T.tt
+    r2t, r2z = lam - T.zz, T.zt
+    if max(abs(r1t), abs(r1z)) >= max(abs(r2t), abs(r2z)):
+        return r1t, r1z
+    return r2t, r2z
 
 
 def eigenflows(T: StressTensor) -> TimelikeFlow:
-    """Classify the eigenvectors of T and return the timelike flow.
+    """Timelike flow of T and both eigenvalues, computed in plain floats.
 
-    Raises no-timelike-flow for complex eigenvalues, degenerate-flow when
-    the characteristic discriminant falls below the degeneracy floor or
-    the eigenvectors do not split into one timelike and one spacelike
+    The roots lambda = (tr +/- sqrt(disc)) / 2 come from the characteristic
+    discriminant disc = tr^2 - 4 det, and each eigenvector from the larger
+    row of T - lambda I.  The timelike eigenvector is picked by the sign of
+    its Minkowski norm, never by root order.
+
+    Raises no-timelike-flow for a negative discriminant (complex roots),
+    degenerate-flow when the discriminant falls below the degeneracy floor
+    or the eigenvectors do not split into one timelike and one spacelike
     direction, and lightlike-velocity when the flow velocity reaches the
     light-speed guard.
     """
@@ -163,36 +164,26 @@ def eigenflows(T: StressTensor) -> TimelikeFlow:
         raise DegenerateFlowError(
             f"discriminant {disc!r} below degeneracy floor for trace {tr!r}"
         )
-    vals, vecs = np.linalg.eig(T.as_matrix())
-    if np.iscomplexobj(vals):
-        scale = abs(T.tt) + abs(T.tz) + abs(T.zt) + abs(T.zz)
-        if float(np.max(np.abs(vals.imag))) > 1e-12 * scale:
-            raise NoTimelikeFlowError(f"complex eigenvalues {vals!r}")
-        vals, vecs = vals.real, vecs.real
-    k = _split_index(vecs)
-    if k is None:
-        vals, vecs = _explicit_eigvecs(T, tr, disc)
-        k = _split_index(vecs)
-    if k is None:
-        norms = vecs[0] * vecs[0] - vecs[1] * vecs[1]
+    root = math.sqrt(disc)
+    lam_hi, lam_lo = 0.5 * (tr + root), 0.5 * (tr - root)
+    ht, hz = _row_eigvec(T, lam_hi)
+    lt, lz = _row_eigvec(T, lam_lo)
+    n_hi, n_lo = (ht - hz) * (ht + hz), (lt - lz) * (lt + lz)
+    if n_hi > 0.0 > n_lo:
+        wt, wz, lam_time, lam_space = ht, hz, lam_hi, lam_lo
+    elif n_lo > 0.0 > n_hi:
+        wt, wz, lam_time, lam_space = lt, lz, lam_lo, lam_hi
+    else:
         raise DegenerateFlowError(
-            f"eigenvectors do not split timelike/spacelike (norms {norms!r})"
+            f"eigenvectors do not split timelike/spacelike (norms {n_hi!r}, {n_lo!r})"
         )
-    wt, wz = float(vecs[0, k]), float(vecs[1, k])
-    v = wz / wt
+    # Adding +0.0 turns a -0.0 from an exactly vanishing row entry into 0.0.
+    v = wz / wt + 0.0
     if not abs(v) < VELOCITY_LIMIT:
         raise LightlikeVelocityError(
             f"flow velocity {v!r} at or beyond the light-speed guard"
         )
-    scale = 1.0 / math.sqrt(wt * wt - wz * wz)
-    if wt < 0.0:
-        scale = -scale
-    return TimelikeFlow(
-        w=FourVector(t=wt * scale, z=wz * scale),
-        lambda_time=float(vals[k]),
-        lambda_space=float(vals[1 - k]),
-        v=v,
-    )
+    return TimelikeFlow(lambda_time=lam_time, lambda_space=lam_space, v=v)
 
 
 def velocity_closed_form(ld: LogDerivatives, i: int) -> float:

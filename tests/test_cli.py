@@ -75,6 +75,15 @@ def test_simulate_static_run(tmp_path):
     assert "# run.scheme = midpoint" in text
 
 
+def test_static_run_writes_no_negative_zero(tmp_path):
+    """Exactly vanishing velocities print as 0, never -0."""
+    cfg = _write(tmp_path, FIG1)
+    out = tmp_path / "out"
+    assert cli.main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+    _, rows = _rows(out / "trajectory.csv")
+    assert not [f for row in rows for f in row if f.startswith("-") and float(f) == 0.0]
+
+
 def test_csv_round_trip_is_exact(tmp_path):
     """17 significant digits reproduce the in-memory records bitwise."""
     cfg = _write(tmp_path, FIG2)

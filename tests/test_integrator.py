@@ -7,6 +7,7 @@ import pytest
 
 import properflow as pf
 from properflow.errors import BoundaryError, NodeProximityError, SamplingError
+from properflow.integrator import _timelike_lambda
 
 L = math.pi
 EPS = 0.01
@@ -275,6 +276,31 @@ def test_eigenvalue_sampler_matches_integrated_weight(model):
     in_b = np.sum((z1 >= 1.4) & (z1 < 1.8) & (z2 >= 0.6) & (z2 < 1.0))
     assert in_b > 0
     assert abs((in_a / in_b) / oracle_ratio - 1.0) < 0.10
+
+
+def test_sampler_eigenvalue_formula_matches_eigenflows(model):
+    """The sampler's array formula is the kernel's timelike eigenvalue."""
+    rng = np.random.default_rng(31)
+    points = []
+    while len(points) < 500:
+        q = pf.ConfigPoint(*(float(x) for x in rng.uniform((0.0, -2.0, 0.0, -2.0),
+                                                           (L, 2.0, L, 2.0))))
+        try:
+            points.append((q, pf.log_derivatives(model, q)))
+        except pf.FlowError:
+            continue
+    z1, t1, z2, t2 = (np.array(c) for c in zip(*((q.z1, q.t1, q.z2, q.t2)
+                                                  for q, _ in points)))
+    psi, dt1, dz1, dt2, dz2 = model.fields(z1, t1, z2, t2)
+    a2 = psi.real**2 + psi.imag**2
+    sampled = (
+        _timelike_lambda(a2, dt1 / psi, dz1 / psi, model.mass),
+        _timelike_lambda(a2, dt2 / psi, dz2 / psi, model.mass),
+    )
+    for i in (1, 2):
+        kernel = np.array([pf.eigenflows(pf.assemble(ld, i, model.mass)).lambda_time
+                           for _, ld in points])
+        assert np.max(np.abs(sampled[i - 1] / kernel - 1.0)) <= 1e-12
 
 
 def test_sampler_validates_arguments(model):

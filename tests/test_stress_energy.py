@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 import properflow as pf
 from properflow.errors import (
@@ -12,6 +13,7 @@ from properflow.errors import (
     LightlikeVelocityError,
     NoTimelikeFlowError,
 )
+from properflow.minkowski import VELOCITY_LIMIT
 
 L = math.pi
 
@@ -90,6 +92,15 @@ def test_rest_point_flow_is_static(model, rest_point):
         assert flow.w.t == pytest.approx(1.0, rel=1e-14)
         assert flow.w.z == pytest.approx(0.0, abs=1e-14)
         assert flow.lambda_time == pytest.approx(T.tt, rel=1e-14)
+
+
+def test_rest_point_flow_has_no_negative_zero(model, rest_point):
+    """An exactly vanishing flux gives v = +0.0, so CSVs never print -0."""
+    ld = pf.log_derivatives(model, rest_point)
+    for i in (1, 2):
+        flow = pf.eigenflows(pf.assemble(ld, i, model.mass))
+        assert math.copysign(1.0, flow.v) == 1.0
+        assert math.copysign(1.0, flow.w.z) == 1.0
 
 
 def test_rest_tensor_regression(model, rest_point):
@@ -207,6 +218,85 @@ def test_lightlike_guard_for_ultrarelativistic_wave():
     assert T.trace == pytest.approx(2.0, rel=1e-9)
     with pytest.raises(LightlikeVelocityError):
         pf.eigenflows(T)
+
+
+def test_near_lightlike_wave_resolves_inside_the_guard():
+    """|v| = 1 - 1.25e-9 sits inside the guard and must be resolved.
+
+    The tensor's entries are O(k^2) = 4e8 while the timelike margin is
+    O(1); a backward-stable solver rounds the eigenvectors onto the light
+    cone here, the rows of T - lambda I do not.
+    """
+    k = 2.0e4
+    omega = math.sqrt(k * k + 1.0)
+    ld = pf.LogDerivatives(
+        p=0.0, s=0.0,
+        p_t=(0.0, 0.0), p_z=(0.0, 0.0),
+        s_t=(omega, 0.0), s_z=(k, 0.0),
+    )
+    flow = pf.eigenflows(pf.assemble(ld, 1, 1.0))
+    assert abs(flow.v + k / omega) <= 1e-12
+    assert flow.lambda_time == pytest.approx(2.0, rel=1e-9)
+
+
+def test_null_eigenvectors_are_degenerate():
+    # disc = 1 clears the floor, but both eigenvectors (1, +/-1) are null
+    T = pf.StressTensor(tt=1.0, tz=0.5, zt=0.5, zz=1.0, amplitude2=1.0)
+    with pytest.raises(DegenerateFlowError):
+        pf.eigenflows(T)
+
+
+def test_timelike_eigenvector_may_belong_to_smaller_root():
+    # diag(1, 2): (1, 0) is timelike with eigenvalue 1, (0, 1) spacelike with 2
+    T = pf.StressTensor(tt=1.0, tz=0.0, zt=0.0, zz=2.0, amplitude2=1.0)
+    flow = pf.eigenflows(T)
+    assert flow.lambda_time == 1.0
+    assert flow.lambda_space == 2.0
+    assert flow.v == 0.0
+
+
+# Draws whose discriminant falls below this fraction of (tr T)^2 are too
+# close to a double root for an eigenvector comparison to mean anything.
+ORACLE_DISC_MARGIN = 1e-8
+gradients = st.floats(min_value=-5.0, max_value=5.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    pt=gradients, pz=gradients, st_=gradients, sz=gradients,
+    p=st.floats(min_value=-2.0, max_value=2.0),
+    m=st.floats(min_value=0.5, max_value=2.0),
+)
+def test_eigenflows_matches_dense_eigensolver(pt, pz, st_, sz, p, m):
+    """The plain-float kernel agrees with np.linalg.eig on assembled tensors.
+
+    Errors are measured in units of ||T|| / sqrt(disc), the conditioning
+    of the eigenvectors; w carries the extra gamma^3 of d(gamma v)/dv.
+    """
+    ld = pf.LogDerivatives(
+        p=p, s=0.0, p_t=(pt, 0.0), p_z=(pz, 0.0), s_t=(st_, 0.0), s_z=(sz, 0.0)
+    )
+    T = pf.assemble(ld, 1, m)
+    tr = T.trace
+    disc = tr * tr - 4.0 * T.det
+    assume(disc >= ORACLE_DISC_MARGIN * tr * tr)
+    vals, vecs = np.linalg.eig(T.as_matrix())
+    assume(not np.iscomplexobj(vals))
+    norms = vecs[0] * vecs[0] - vecs[1] * vecs[1]
+    assume(int((norms > 0.0).sum()) == 1 and int((norms < 0.0).sum()) == 1)
+    k = int(np.argmax(norms))
+    v_ref = float(vecs[1, k] / vecs[0, k])
+    assume(abs(v_ref) < VELOCITY_LIMIT)
+    gamma = 1.0 / math.sqrt(1.0 - v_ref * v_ref)
+
+    flow = pf.eigenflows(T)
+    size = float(np.abs(T.as_matrix()).sum())
+    tol = 1e-13 * size / math.sqrt(disc)
+    assert abs(flow.v - v_ref) <= tol
+    assert abs(flow.w.t - gamma) <= tol * gamma**3
+    assert abs(flow.w.z - gamma * v_ref) <= tol * gamma**3
+    assert abs(flow.lambda_time - vals[k]) <= tol * size
+    assert abs(flow.lambda_space - vals[1 - k]) <= tol * size
 
 
 def test_conservation_residual_decays_at_second_order(model, probe_point):
