@@ -181,9 +181,12 @@ def _take_float(raw: RawConfig, section: str, key: str) -> float | None:
         return None
     value, lineno = raw[section][key]
     try:
-        return float(value)
+        number = float(value)
     except ValueError:
         raise ConfigError(f"{section}.{key} (line {lineno}): not a number: {value!r}") from None
+    if not math.isfinite(number):
+        raise ConfigError(f"{section}.{key} (line {lineno}): not a finite number: {value!r}")
+    return number
 
 
 def _take_int(raw: RawConfig, section: str, key: str) -> int | None:
@@ -214,6 +217,8 @@ def _take_float_list(raw: RawConfig, section: str, key: str) -> tuple[float, ...
         ) from None
     if not items:
         raise ConfigError(f"{section}.{key} (line {lineno}): empty list")
+    if not all(math.isfinite(x) for x in items):
+        raise ConfigError(f"{section}.{key} (line {lineno}): not all finite: {value!r}")
     return items
 
 
@@ -227,13 +232,20 @@ def _rapidity_from(raw: RawConfig, section: str, vel_key: str, alpha_key: str) -
     if velocity is not None and alpha is not None:
         raise ConfigError(f"{section}: give exactly one of {vel_key} or {alpha_key}")
     if velocity is not None:
-        if not abs(velocity) < 1.0:
+        try:
+            return rapidity_from_velocity(velocity)
+        except LightlikeVelocityError as err:
             raise ConfigError(
-                f"{section}.{vel_key} (line {_line_of(raw, section, vel_key)}): "
-                f"|velocity| must be < 1, got {velocity!r}"
-            )
-        return rapidity_from_velocity(velocity)
+                f"{section}.{vel_key} (line {_line_of(raw, section, vel_key)}): {err}"
+            ) from None
     if alpha is not None:
+        try:
+            math.cosh(alpha)
+        except OverflowError:
+            raise ConfigError(
+                f"{section}.{alpha_key} (line {_line_of(raw, section, alpha_key)}): "
+                f"cosh of rapidity {alpha!r} overflows"
+            ) from None
         return Rapidity(alpha)
     return None
 
@@ -293,6 +305,16 @@ def load_config(
         if epsilons is not None:
             if total_proper_time is None:
                 raise ConfigError("boost.total_proper_time: required alongside boost.epsilons")
+            if not min(epsilons) > 0.0:
+                raise ConfigError(
+                    f"boost.epsilons (line {_line_of(raw, 'boost', 'epsilons')}): "
+                    "must all be > 0"
+                )
+            if not total_proper_time > 0.0:
+                raise ConfigError(
+                    f"boost.total_proper_time "
+                    f"(line {_line_of(raw, 'boost', 'total_proper_time')}): must be > 0"
+                )
             if len(epsilons) < 3:
                 raise ConfigError(
                     f"boost.epsilons (line {_line_of(raw, 'boost', 'epsilons')}): "

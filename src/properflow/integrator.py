@@ -10,6 +10,15 @@ midpoint re-evaluates them at the half-step epsilon/2 before advancing.
 Evaluation failures (node proximity, degenerate eigenstructure, leaving
 the well) do not propagate out of ``integrate``; the partial trajectory is
 returned with a termination tag naming the cause.
+
+The per-point chain runs on plain floats: ``log_ratios`` (domain guard,
+fields, node guard, log-gradient ratios), then ``tensor_entries`` and
+``flow_entries`` per particle, and ``null_step`` per displacement.  These
+float kernels are the bodies of the public ``log_derivatives``,
+``assemble``, ``eigenflows`` and ``proper_step``, which wrap their tuples
+in value objects, so both routes give the same bits.  The loop carries
+(z1, t1, z2, t2) as floats and builds a ``ConfigPoint`` only for each
+``StepRecord`` and for error messages.
 """
 
 from __future__ import annotations
@@ -26,9 +35,9 @@ from .errors import (
     NodeProximityError,
     SamplingError,
 )
-from .minkowski import proper_step
-from .stress_energy import TimelikeFlow, assemble, eigenflows
-from .wavefield import ConfigPoint, WaveModel, log_derivatives
+from .minkowski import null_step
+from .stress_energy import flow_entries, tensor_entries
+from .wavefield import ConfigPoint, WaveModel, log_ratios
 
 Scheme = Literal["euler", "midpoint"]
 SCHEMES: tuple[str, ...] = ("euler", "midpoint")
@@ -92,41 +101,35 @@ def _abort_tag(err: FlowError) -> str:
     return "degenerate_abort"
 
 
-def _flows(model: WaveModel, q: ConfigPoint) -> tuple[TimelikeFlow, TimelikeFlow]:
-    ld = log_derivatives(model, q)
+def _flow(p: float, r_t: complex, r_z: complex, m: float) -> tuple[float, float]:
+    """(v, lambda_time) of one particle from its log-gradient ratios."""
+    tt, tz, zt, zz, _ = tensor_entries(p, r_t.real, r_z.real, r_t.imag, r_z.imag, m)
+    lam, _, v = flow_entries(tt, tz, zt, zz)
+    return v, lam
+
+
+def _flows(model: WaveModel, z1: float, t1: float, z2: float, t2: float):
+    """(v1, lambda1, v2, lambda2) at one configuration point."""
+    _, p, r1t, r1z, r2t, r2z = log_ratios(model, z1, t1, z2, t2)
     m = model.mass
-    return eigenflows(assemble(ld, 1, m)), eigenflows(assemble(ld, 2, m))
+    return (*_flow(p, r1t, r1z, m), *_flow(p, r2t, r2z, m))
 
 
-def _displace(q: ConfigPoint, v1: float, v2: float, epsilon: float, direction: int) -> ConfigPoint:
-    _, dt1, dz1 = proper_step(v1, epsilon)
-    _, dt2, dz2 = proper_step(v2, epsilon)
+def _displace(z1, t1, z2, t2, v1, v2, epsilon, d):
+    _, _, dt1, dz1 = null_step(v1, epsilon)
+    _, _, dt2, dz2 = null_step(v2, epsilon)
+    return z1 + d * dz1, t1 + d * dt1, z2 + d * dz2, t2 + d * dt2
+
+
+def _step_from(model, z1, t1, z2, t2, v1, v2, epsilon, scheme, direction):
+    """Configuration (z1, t1, z2, t2) one step on from the given point."""
     d = float(direction)
-    return ConfigPoint(
-        z1=q.z1 + d * dz1,
-        t1=q.t1 + d * dt1,
-        z2=q.z2 + d * dz2,
-        t2=q.t2 + d * dt2,
-    )
-
-
-def _step_from(
-    model: WaveModel,
-    q: ConfigPoint,
-    v1: float,
-    v2: float,
-    epsilon: float,
-    scheme: str,
-    direction: int,
-) -> ConfigPoint:
     if scheme == "midpoint":
-        half = _displace(q, v1, v2, 0.5 * epsilon, direction)
-        f1, f2 = _flows(model, half)
-        v1, v2 = f1.v, f2.v
-    q_next = _displace(q, v1, v2, epsilon, direction)
-    if not model.in_domain(q_next):
-        raise BoundaryError(f"step left the well region at {q_next}")
-    return q_next
+        v1, _, v2, _ = _flows(model, *_displace(z1, t1, z2, t2, v1, v2, 0.5 * epsilon, d))
+    z1, t1, z2, t2 = _displace(z1, t1, z2, t2, v1, v2, epsilon, d)
+    if not model.contains(z1, t1, z2, t2):
+        raise BoundaryError(f"step left the well region at {ConfigPoint(z1, t1, z2, t2)}")
+    return z1, t1, z2, t2
 
 
 def _check_run_args(epsilon: float, n_steps: int, scheme: str) -> None:
@@ -149,8 +152,10 @@ def step(
     _check_run_args(epsilon, 1, scheme)
     if direction not in (1, -1):
         raise ValueError(f"direction must be +1 or -1, got {direction!r}")
-    f1, f2 = _flows(model, q)
-    return _step_from(model, q, f1.v, f2.v, epsilon, scheme, direction)
+    v1, _, v2, _ = _flows(model, q.z1, q.t1, q.z2, q.t2)
+    return ConfigPoint(
+        *_step_from(model, q.z1, q.t1, q.z2, q.t2, v1, v2, epsilon, scheme, direction)
+    )
 
 
 def _integrate(
@@ -164,31 +169,28 @@ def _integrate(
     records: list[StepRecord] = []
     termination = "completed"
     q = q0
+    z1, t1, z2, t2 = q0.z1, q0.t1, q0.z2, q0.t2
     for j in range(n_steps + 1):
         try:
-            f1, f2 = _flows(model, q)
+            v1, lam1, v2, lam2 = _flows(model, z1, t1, z2, t2)
         except FlowError as err:
             if not records:
                 raise
             termination = _abort_tag(err)
             break
         records.append(
-            StepRecord(
-                sigma=j * epsilon,
-                q=q,
-                v1=f1.v,
-                v2=f2.v,
-                lambda1=f1.lambda_time,
-                lambda2=f2.lambda_time,
-            )
+            StepRecord(sigma=j * epsilon, q=q, v1=v1, v2=v2, lambda1=lam1, lambda2=lam2)
         )
         if j == n_steps:
             break
         try:
-            q = _step_from(model, q, f1.v, f2.v, epsilon, scheme, direction)
+            z1, t1, z2, t2 = _step_from(
+                model, z1, t1, z2, t2, v1, v2, epsilon, scheme, direction
+            )
         except FlowError as err:
             termination = _abort_tag(err)
             break
+        q = ConfigPoint(z1, t1, z2, t2)
     return Trajectory(
         epsilon=epsilon, scheme=scheme, records=tuple(records), termination=termination
     )

@@ -76,10 +76,14 @@ def _require_subluminal(v: float) -> None:
         )
 
 
+def _rapidity(v: float) -> float:
+    _require_subluminal(v)
+    return 0.5 * math.log((1.0 + v) / (1.0 - v))
+
+
 def rapidity_from_velocity(v: float) -> Rapidity:
     """Boost angle with tanh(alpha) = v; rejects |v| >= 1 - 1e-9."""
-    _require_subluminal(v)
-    return Rapidity(0.5 * math.log((1.0 + v) / (1.0 - v)))
+    return Rapidity(_rapidity(v))
 
 
 def boost(p: FourVector, alpha: Rapidity) -> FourVector:
@@ -96,6 +100,16 @@ def velocity_addition(v: float, u: float) -> float:
     return (v + u) / (1.0 + v * u)
 
 
+def null_step(v: float, epsilon: float) -> tuple[float, float, float, float]:
+    """Float kernel of ``proper_step``: (du, dv, dt, dz), same guards."""
+    if not epsilon > 0.0:
+        raise ValueError(f"epsilon must be positive, got {epsilon!r}")
+    ea = math.exp(_rapidity(v))
+    dv = epsilon * ea
+    du = epsilon / ea
+    return du, dv, 0.5 * (du + dv), 0.5 * (dv - du)
+
+
 def proper_step(v: float, epsilon: float) -> tuple[NullStep, float, float]:
     """Advance one proper-time increment epsilon along velocity v.
 
@@ -106,10 +120,5 @@ def proper_step(v: float, epsilon: float) -> tuple[NullStep, float, float]:
     subluminal velocity; that equality is what keeps both particles'
     clocks advancing by the same proper time per iteration.
     """
-    if not epsilon > 0.0:
-        raise ValueError(f"epsilon must be positive, got {epsilon!r}")
-    alpha = rapidity_from_velocity(v)
-    ea = math.exp(alpha.alpha)
-    dv = epsilon * ea
-    du = epsilon / ea
-    return NullStep(du=du, dv=dv, epsilon=epsilon), 0.5 * (du + dv), 0.5 * (dv - du)
+    du, dv, dt, dz = null_step(v, epsilon)
+    return NullStep(du=du, dv=dv, epsilon=epsilon), dt, dz

@@ -22,6 +22,12 @@ velocity (``velocity_closed_form``) reproduces the same direction where
 its branch parameter theta is defined and is kept only as a cross-check:
 it degenerates on every pure product or stationary configuration
 (P.S = 0), while the eigenvector route stays regular there.
+
+Assembly and the eigen solve are float kernels returning tuples:
+``tensor_entries`` (the body of ``assemble``) and ``flow_entries`` (the
+body of ``eigenflows``).  The public functions wrap them in
+``StressTensor`` and ``TimelikeFlow``; the integrator calls the kernels
+directly, so no value object is built per evaluation.
 """
 
 from __future__ import annotations
@@ -107,26 +113,38 @@ class TimelikeFlow:
         return FourVector(t=gamma, z=gamma * self.v)
 
 
-def assemble(ld: LogDerivatives, i: int, m: float) -> StressTensor:
-    """Mixed stress tensor of particle i from log-polar gradients."""
+def tensor_entries(
+    p: float, pt: float, pz: float, st: float, sz: float, m: float
+) -> tuple[float, float, float, float, float]:
+    """Float kernel of ``assemble``: (tt, tz, zt, zz, |Psi|^2) of one particle.
+
+    p = ln|Psi| and (pt, pz, st, sz) are the particle's lower-index
+    gradients of p and s.
+    """
     if not m >= 0.0:
         raise ValueError(f"mass must be nonnegative, got {m!r}")
-    pt, pz, st, sz = ld.particle(i)
-    a2 = math.exp(2.0 * ld.p)
+    a2 = math.exp(2.0 * p)
     pp = pt * pt - pz * pz
     ss = st * st - sz * sz
     iso = a2 * (m * m - pp - ss)
     # Raising the first index flips the sign of the z-row terms.
-    return StressTensor(
-        tt=iso + 2.0 * a2 * (pt * pt + st * st),
-        tz=2.0 * a2 * (pt * pz + st * sz),
-        zt=-2.0 * a2 * (pz * pt + sz * st),
-        zz=iso - 2.0 * a2 * (pz * pz + sz * sz),
-        amplitude2=a2,
+    return (
+        iso + 2.0 * a2 * (pt * pt + st * st),
+        2.0 * a2 * (pt * pz + st * sz),
+        -2.0 * a2 * (pz * pt + sz * st),
+        iso - 2.0 * a2 * (pz * pz + sz * sz),
+        a2,
     )
 
 
-def _row_eigvec(T: StressTensor, lam: float) -> tuple[float, float]:
+def assemble(ld: LogDerivatives, i: int, m: float) -> StressTensor:
+    """Mixed stress tensor of particle i from log-polar gradients."""
+    return StressTensor(*tensor_entries(ld.p, *ld.particle(i), m))
+
+
+def _row_eigvec(
+    tt: float, tz: float, zt: float, zz: float, lam: float
+) -> tuple[float, float]:
     """Eigenvector of T for eigenvalue lam from the larger row of T - lam I.
 
     A row (a, b) of the rank-one matrix T - lam I annihilates the
@@ -135,11 +153,43 @@ def _row_eigvec(T: StressTensor, lam: float) -> tuple[float, float]:
     exactly representable components, so nearly lightlike directions stay
     resolvable where a backward-stable solver rounds onto the light cone.
     """
-    r1t, r1z = T.tz, lam - T.tt
-    r2t, r2z = lam - T.zz, T.zt
+    r1t, r1z = tz, lam - tt
+    r2t, r2z = lam - zz, zt
     if max(abs(r1t), abs(r1z)) >= max(abs(r2t), abs(r2z)):
         return r1t, r1z
     return r2t, r2z
+
+
+def flow_entries(tt: float, tz: float, zt: float, zz: float) -> tuple[float, float, float]:
+    """Float kernel of ``eigenflows``: (lambda_time, lambda_space, v)."""
+    tr = tt + zz
+    disc = tr * tr - 4.0 * (tt * zz - tz * zt)
+    if disc < 0.0:
+        raise NoTimelikeFlowError(f"complex eigenvalue pair (discriminant {disc!r})")
+    if disc < DEGENERACY_FLOOR_RATIO * tr * tr:
+        raise DegenerateFlowError(
+            f"discriminant {disc!r} below degeneracy floor for trace {tr!r}"
+        )
+    root = math.sqrt(disc)
+    lam_hi, lam_lo = 0.5 * (tr + root), 0.5 * (tr - root)
+    ht, hz = _row_eigvec(tt, tz, zt, zz, lam_hi)
+    lt, lz = _row_eigvec(tt, tz, zt, zz, lam_lo)
+    n_hi, n_lo = (ht - hz) * (ht + hz), (lt - lz) * (lt + lz)
+    if n_hi > 0.0 > n_lo:
+        wt, wz, lam_time, lam_space = ht, hz, lam_hi, lam_lo
+    elif n_lo > 0.0 > n_hi:
+        wt, wz, lam_time, lam_space = lt, lz, lam_lo, lam_hi
+    else:
+        raise DegenerateFlowError(
+            f"eigenvectors do not split timelike/spacelike (norms {n_hi!r}, {n_lo!r})"
+        )
+    # Adding +0.0 turns a -0.0 from an exactly vanishing row entry into 0.0.
+    v = wz / wt + 0.0
+    if not abs(v) < VELOCITY_LIMIT:
+        raise LightlikeVelocityError(
+            f"flow velocity {v!r} at or beyond the light-speed guard"
+        )
+    return lam_time, lam_space, v
 
 
 def eigenflows(T: StressTensor) -> TimelikeFlow:
@@ -156,34 +206,7 @@ def eigenflows(T: StressTensor) -> TimelikeFlow:
     direction, and lightlike-velocity when the flow velocity reaches the
     light-speed guard.
     """
-    tr = T.trace
-    disc = tr * tr - 4.0 * T.det
-    if disc < 0.0:
-        raise NoTimelikeFlowError(f"complex eigenvalue pair (discriminant {disc!r})")
-    if disc < DEGENERACY_FLOOR_RATIO * tr * tr:
-        raise DegenerateFlowError(
-            f"discriminant {disc!r} below degeneracy floor for trace {tr!r}"
-        )
-    root = math.sqrt(disc)
-    lam_hi, lam_lo = 0.5 * (tr + root), 0.5 * (tr - root)
-    ht, hz = _row_eigvec(T, lam_hi)
-    lt, lz = _row_eigvec(T, lam_lo)
-    n_hi, n_lo = (ht - hz) * (ht + hz), (lt - lz) * (lt + lz)
-    if n_hi > 0.0 > n_lo:
-        wt, wz, lam_time, lam_space = ht, hz, lam_hi, lam_lo
-    elif n_lo > 0.0 > n_hi:
-        wt, wz, lam_time, lam_space = lt, lz, lam_lo, lam_hi
-    else:
-        raise DegenerateFlowError(
-            f"eigenvectors do not split timelike/spacelike (norms {n_hi!r}, {n_lo!r})"
-        )
-    # Adding +0.0 turns a -0.0 from an exactly vanishing row entry into 0.0.
-    v = wz / wt + 0.0
-    if not abs(v) < VELOCITY_LIMIT:
-        raise LightlikeVelocityError(
-            f"flow velocity {v!r} at or beyond the light-speed guard"
-        )
-    return TimelikeFlow(lambda_time=lam_time, lambda_space=lam_space, v=v)
+    return TimelikeFlow(*flow_entries(T.tt, T.tz, T.zt, T.zz))
 
 
 def velocity_closed_form(ld: LogDerivatives, i: int) -> float:

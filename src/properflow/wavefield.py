@@ -20,8 +20,10 @@ node of Psi the log derivatives blow up (node-proximity error).
 
 from __future__ import annotations
 
+import cmath
 import math
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass, replace
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -31,6 +33,9 @@ from .minkowski import Rapidity
 # Node guard: |Psi|^2 below this fraction of the model's squared amplitude
 # scale counts as a node hit.
 NODE_FLOOR_RATIO = 1e-12
+
+# Scalar stand-ins for the numpy functions a box mode evaluates.
+_SCALAR_LIB = SimpleNamespace(exp=cmath.exp, sin=math.sin, cos=math.cos)
 
 
 @dataclass(frozen=True)
@@ -98,12 +103,18 @@ class BoxMode:
     omega: float
 
     def value_and_grads(self, z, t):
-        """(phi, d phi/dt, d phi/dz); accepts scalars or arrays."""
+        """(phi, d phi/dt, d phi/dz); accepts scalars or arrays.
+
+        Two floats go through ``math`` and ``cmath``, which cost a fraction
+        of numpy's per-call overhead and give the same values; anything
+        else goes through numpy and broadcasts.
+        """
         k = self.n * math.pi / self.L
         amp = math.sqrt(2.0 / self.L)
-        phase = np.exp(1j * self.omega * t)
-        val = amp * np.sin(k * z) * phase
-        return val, 1j * self.omega * val, amp * k * np.cos(k * z) * phase
+        lib = _SCALAR_LIB if isinstance(z, float) and isinstance(t, float) else np
+        phase = lib.exp(1j * self.omega * t)
+        val = amp * lib.sin(k * z) * phase
+        return val, 1j * self.omega * val, amp * k * lib.cos(k * z) * phase
 
 
 def box_mode(n: int, L: float, m: float, frequency: float | None = None) -> BoxMode:
@@ -318,18 +329,34 @@ def rescaled(model: WaveModel, factor: complex) -> RescaledModel:
     return RescaledModel(model, factor)
 
 
-def _checked_fields(model: WaveModel, q: ConfigPoint):
-    """Evaluate fields after the domain and node guards."""
-    if not model.in_domain(q):
-        raise BoundaryError(f"configuration {q} outside the well region")
-    psi, dt1, dz1, dt2, dz2 = model.fields(q.z1, q.t1, q.z2, q.t2)
+def _checked_fields(model: WaveModel, z1, t1, z2, t2):
+    """Evaluate fields after the domain and node guards.
+
+    Returns |Psi|^2 and the five fields as Python complex numbers.
+    """
+    if not model.contains(z1, t1, z2, t2):
+        raise BoundaryError(
+            f"configuration {ConfigPoint(z1, t1, z2, t2)} outside the well region"
+        )
+    psi, dt1, dz1, dt2, dz2 = model.fields(z1, t1, z2, t2)
     psi = complex(psi)
     a2 = psi.real * psi.real + psi.imag * psi.imag
     if a2 < model.amp2_floor:
         raise NodeProximityError(
-            f"|Psi|^2 = {a2!r} below node floor {model.amp2_floor!r} at {q}"
+            f"|Psi|^2 = {a2!r} below node floor {model.amp2_floor!r} "
+            f"at {ConfigPoint(z1, t1, z2, t2)}"
         )
-    return psi, complex(dt1), complex(dz1), complex(dt2), complex(dz2)
+    return a2, psi, complex(dt1), complex(dz1), complex(dt2), complex(dz2)
+
+
+def log_ratios(model: WaveModel, z1, t1, z2, t2):
+    """Float kernel of ``log_derivatives``: (Psi, p, r1t, r1z, r2t, r2z).
+
+    p = ln|Psi| and r_i = (d Psi / Psi) per coordinate of particle i, whose
+    real and imaginary parts are the gradients of p and s.
+    """
+    a2, psi, dt1, dz1, dt2, dz2 = _checked_fields(model, z1, t1, z2, t2)
+    return psi, 0.5 * math.log(a2), dt1 / psi, dz1 / psi, dt2 / psi, dz2 / psi
 
 
 def log_derivatives(model: WaveModel, q: ConfigPoint) -> LogDerivatives:
@@ -339,11 +366,9 @@ def log_derivatives(model: WaveModel, q: ConfigPoint) -> LogDerivatives:
     complex ratios (d Psi / Psi), i.e. lower-index coordinate derivatives
     of p = ln|Psi| and s = arg Psi.
     """
-    psi, dt1, dz1, dt2, dz2 = _checked_fields(model, q)
-    a2 = psi.real * psi.real + psi.imag * psi.imag
-    r1t, r1z, r2t, r2z = dt1 / psi, dz1 / psi, dt2 / psi, dz2 / psi
+    psi, p, r1t, r1z, r2t, r2z = log_ratios(model, q.z1, q.t1, q.z2, q.t2)
     return LogDerivatives(
-        p=0.5 * math.log(a2),
+        p=p,
         s=math.atan2(psi.imag, psi.real),
         p_t=(r1t.real, r2t.real),
         p_z=(r1z.real, r2z.real),
@@ -363,12 +388,12 @@ def kg_residual(model: WaveModel, q: ConfigPoint, i: int, h: float) -> complex:
     """
     if not h > 0.0:
         raise ValueError(f"step h must be positive, got {h!r}")
-    idx = {1: (1, 2), 2: (3, 4)}[i]
-    psi = _checked_fields(model, q)[0]
-    f_tp = _checked_fields(model, shift_particle(q, i, dt=+h))[idx[0]]
-    f_tm = _checked_fields(model, shift_particle(q, i, dt=-h))[idx[0]]
-    f_zp = _checked_fields(model, shift_particle(q, i, dz=+h))[idx[1]]
-    f_zm = _checked_fields(model, shift_particle(q, i, dz=-h))[idx[1]]
+    idx = {1: (2, 3), 2: (4, 5)}[i]
+    psi = _checked_fields(model, *astuple(q))[1]
+    f_tp = _checked_fields(model, *astuple(shift_particle(q, i, dt=+h)))[idx[0]]
+    f_tm = _checked_fields(model, *astuple(shift_particle(q, i, dt=-h)))[idx[0]]
+    f_zp = _checked_fields(model, *astuple(shift_particle(q, i, dz=+h)))[idx[1]]
+    f_zm = _checked_fields(model, *astuple(shift_particle(q, i, dz=-h)))[idx[1]]
     d2t = (f_tp - f_tm) / (2.0 * h)
     d2z = (f_zp - f_zm) / (2.0 * h)
     return d2t - d2z + model.mass**2 * psi

@@ -241,6 +241,33 @@ def test_config_errors(tmp_path, capsys):
                      "--out", str(out)]) == 2
 
 
+@pytest.mark.parametrize(
+    "command, old, new",
+    [
+        ("covariance", "velocity = 0.3", "alpha = 800"),
+        ("covariance", "n_b = 2", "n_b = 2\nboost_alpha = 1e6"),
+        ("covariance", "total_proper_time = 2.0", "total_proper_time = inf"),
+        ("covariance", "epsilons = 0.02 0.01 0.005", "epsilons = 0.02 0.01 0"),
+        ("covariance", "velocity = 0.3", "velocity = 0.9999999999"),
+        ("covariance", "velocity = 0.3", "alpha = nan"),
+        ("simulate", "epsilon = 0.01", "epsilon = inf"),
+    ],
+    ids=["alpha-overflow", "model-alpha-overflow", "infinite-proper-time",
+         "zero-epsilon", "velocity-at-guard", "nan-alpha", "infinite-epsilon"],
+)
+def test_invalid_config_values(tmp_path, capsys, command, old, new):
+    """Out-of-range numbers are config errors naming their key and line."""
+    text = (FIG2 + BOOST_BLOCK).replace(old, new)
+    bad = new.splitlines()[-1]
+    lineno = text.splitlines().index(bad) + 1
+    section = "model" if "boost_alpha" in bad else "run" if command == "simulate" else "boost"
+    key = f"{section}.{bad.split(' = ')[0]}"
+    out = tmp_path / "out"
+    assert cli.main([command, "--config", _write(tmp_path, text), "--out", str(out)]) == 2
+    assert f"{key} (line {lineno})" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_missing_blocks(tmp_path, capsys):
     cfg = _write(tmp_path, FIG1)
     out = tmp_path / "out"

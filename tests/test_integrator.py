@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 import properflow as pf
-from properflow.errors import BoundaryError, NodeProximityError, SamplingError
-from properflow.integrator import _timelike_lambda
+from properflow.errors import BoundaryError, FlowError, NodeProximityError, SamplingError
+from properflow.integrator import SCHEMES, _timelike_lambda
 
 L = math.pi
 EPS = 0.01
@@ -59,6 +59,70 @@ class Silent(pf.WaveModel):
 
     def contains(self, z1, t1, z2, t2):
         return (z1 > 0.0) & (z1 < L) & (z2 > 0.0) & (z2 < L)
+
+
+def _reference_flows(model, q):
+    ld = pf.log_derivatives(model, q)
+    return tuple(pf.eigenflows(pf.assemble(ld, i, model.mass)) for i in (1, 2))
+
+
+def _reference_displace(q, v1, v2, eps, d):
+    _, dt1, dz1 = pf.proper_step(v1, eps)
+    _, dt2, dz2 = pf.proper_step(v2, eps)
+    return pf.ConfigPoint(
+        z1=q.z1 + d * dz1, t1=q.t1 + d * dt1, z2=q.z2 + d * dz2, t2=q.t2 + d * dt2
+    )
+
+
+def _reference_run(model, q0, eps, n_steps, scheme, direction=1):
+    """(records, termination, absorbed error) through the public layers.
+
+    log_derivatives -> assemble -> eigenflows -> proper_step -> ConfigPoint,
+    with each layer's value object built and unpacked: the route the
+    integrator's float kernels must reproduce bit for bit.
+    """
+    d = float(direction)
+    records, q = [], q0
+    for j in range(n_steps + 1):
+        try:
+            f1, f2 = _reference_flows(model, q)
+        except FlowError as err:
+            if not records:
+                raise
+            return records, _reference_tag(err), err
+        records.append(pf.StepRecord(j * eps, q, f1.v, f2.v, f1.lambda_time, f2.lambda_time))
+        if j == n_steps:
+            break
+        try:
+            v1, v2 = f1.v, f2.v
+            if scheme == "midpoint":
+                h1, h2 = _reference_flows(model, _reference_displace(q, v1, v2, 0.5 * eps, d))
+                v1, v2 = h1.v, h2.v
+            q = _reference_displace(q, v1, v2, eps, d)
+            if not model.in_domain(q):
+                raise BoundaryError(f"step left the well region at {q}")
+        except FlowError as err:
+            return records, _reference_tag(err), err
+    return records, "completed", None
+
+
+def _reference_tag(err):
+    if isinstance(err, NodeProximityError):
+        return "node_abort"
+    if isinstance(err, BoundaryError):
+        return "boundary_abort"
+    return "degenerate_abort"
+
+
+def _absorbed_error(model, last, eps, scheme):
+    """The error integrate absorbed after record ``last``, via public steps.
+
+    Stepping from the last record either fails inside that step or lands
+    on the point whose evaluation failed, where the next step fails first.
+    """
+    with pytest.raises(FlowError) as info:
+        pf.step(model, pf.step(model, last, eps, scheme), eps, scheme)
+    return info.value
 
 
 def _interval_errors(traj):
@@ -215,6 +279,62 @@ def test_boundary_abort_mid_run(model, moving_point):
     assert traj.termination == "boundary_abort"
     assert 1 < len(traj.records) < 501
     assert traj.records[-1].q.t1 < 3.0
+
+
+# Clock-offset starts with |t1 - t2| in [0.5, 1.5], away from both node lines.
+OFFSET_STARTS = (
+    pf.ConfigPoint(1.0, 1.0, 2.0, 0.0),
+    pf.ConfigPoint(0.9, -0.3, 2.2, 0.6),
+    pf.ConfigPoint(1.1, 0.75, 1.95, -0.5),
+    pf.ConfigPoint(0.85, 1.4, 2.25, 0.1),
+    pf.ConfigPoint(1.2, -1.0, 2.05, 0.45),
+)
+
+
+def test_integrate_matches_reference_route(model):
+    """The float chain reproduces the public layers bit for bit."""
+    for q0 in OFFSET_STARTS:
+        for scheme in SCHEMES:
+            traj = pf.integrate(model, q0, EPS, 150, scheme)
+            records, termination, _ = _reference_run(model, q0, EPS, 150, scheme)
+            assert traj.termination == termination == "completed"
+            assert traj.records == tuple(records), (q0, scheme)
+            back, termination, _ = _reference_run(
+                model, records[-1].q, EPS, 150, scheme, direction=-1
+            )
+            assert termination == "completed"
+            worst = max(
+                max(math.hypot(b.q.t1 - f.q.t1, b.q.z1 - f.q.z1),
+                    math.hypot(b.q.t2 - f.q.t2, b.q.z2 - f.q.z2))
+                for b, f in zip(back, reversed(records))
+            )
+            assert pf.reverse_check(model, traj) == worst
+
+
+def test_aborts_match_reference_route(model):
+    """Same records, tag and absorbed error message when a run aborts."""
+    cases = (
+        (ShallowWell(model, 0.3), pf.ConfigPoint(1.2094, 0.8573, 1.1181, 0.0), 300,
+         "node_abort", NodeProximityError),
+        (TimeCapped(model, 3.0), pf.ConfigPoint(1.0, 1.0, 2.0, 0.0), 500,
+         "boundary_abort", BoundaryError),
+    )
+    for capped, q0, n_steps, tag, error in cases:
+        for scheme in SCHEMES:
+            traj = pf.integrate(capped, q0, EPS, n_steps, scheme)
+            records, termination, err = _reference_run(capped, q0, EPS, n_steps, scheme)
+            assert traj.termination == termination == tag
+            assert traj.records == tuple(records)
+            absorbed = _absorbed_error(capped, records[-1].q, EPS, scheme)
+            assert type(absorbed) is type(err) and isinstance(err, error)
+            assert str(absorbed) == str(err)
+    for q0, error in ((pf.ConfigPoint(1e-7, 0.0, 2.0, 0.0), NodeProximityError),
+                      (pf.ConfigPoint(-0.5, 0.0, 2.0, 0.0), BoundaryError)):
+        with pytest.raises(error) as fast:
+            pf.integrate(model, q0, EPS, 10, "midpoint")
+        with pytest.raises(error) as reference:
+            _reference_run(model, q0, EPS, 10, "midpoint")
+        assert str(fast.value) == str(reference.value)
 
 
 def test_invalid_start_raises_instead_of_empty_trajectory(model):

@@ -257,3 +257,54 @@ def test_lone_state_embeds_single_mode():
     assert lone.amplitude(other) == lone.amplitude(q)
     _, _, _, dt2, dz2 = lone.fields(q.z1, q.t1, q.z2, q.t2)
     assert dt2 == 0.0 and dz2 == 0.0
+
+
+def _field_models(model):
+    modes = (pf.box_mode(1, L, 1.0), pf.box_mode(2, L, 1.0))
+    return {
+        "entangled": model,
+        "product": pf.product_pair(*modes),
+        "lone-1": pf.lone_state(modes[1], particle=1),
+        "lone-2": pf.lone_state(modes[1], particle=2),
+        "boosted": pf.boosted(model, pf.Rapidity(0.7)),
+        "rescaled": pf.rescaled(model, 0.5j - 1.25),
+    }
+
+
+def test_scalar_and_array_fields_agree(model):
+    """Float inputs take the math path, arrays the numpy path; same values.
+
+    The bound is 4 ulps of the state's field magnitude (the largest
+    modulus any field reaches over the sampled points), not of each
+    value: numpy's array loops round complex products differently from
+    scalar arithmetic, and sums such as the entangled amplitude cancel
+    that difference into many ulps of a small result (up to 45 measured).
+    """
+    rng = np.random.default_rng(17)
+    tol = 4 * 2.2e-16
+    z1, z2 = rng.uniform(0.05, L - 0.05, (2, 200))
+    t1, t2 = rng.uniform(-3.0, 3.0, (2, 200))
+    for name, m in _field_models(model).items():
+        magnitude = max(float(np.max(np.abs(f))) for f in m.fields(z1, t1, z2, t2))
+        for j in range(len(z1)):
+            point = (float(z1[j]), float(t1[j]), float(z2[j]), float(t2[j]))
+            scalar = m.fields(*point)
+            array = m.fields(*(np.array([c]) for c in point))
+            for s, a in zip(scalar, array):
+                assert np.shape(a) == (1,), name
+                assert abs(complex(s) - complex(a[0])) <= tol * magnitude, name
+        # Integer and numpy-scalar coordinates still evaluate.
+        ints = m.fields(1, 0, 2, 1)
+        wide = m.fields(np.float64(1.0), np.float64(0.0), np.float64(2.0), np.float64(1.0))
+        floats = m.fields(1.0, 0.0, 2.0, 1.0)
+        for i, w, f in zip(ints, wide, floats):
+            assert abs(complex(i) - complex(f)) <= tol * magnitude, name
+            assert abs(complex(w) - complex(f)) <= tol * magnitude, name
+
+
+def test_float_fields_are_plain_complex(model):
+    """The scalar path builds no numpy scalars for the two-particle states."""
+    models = _field_models(model)
+    for name in ("entangled", "product", "boosted", "rescaled"):
+        values = models[name].fields(0.9, 0.37, 2.2, -0.41)
+        assert all(type(v) is complex for v in values), name
