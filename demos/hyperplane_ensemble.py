@@ -3,11 +3,11 @@
 #
 # Draw initial configurations on the t1 = t2 = 0 plane, weighted by the
 # product of the two timelike eigenvalues (the natural density for this
-# flow), and integrate each member.  Distinct starts never cross in
-# configuration space-time: the guidance field is single valued, so the
-# map from start to world line is one to one.  The script verifies no two
-# members ever visit the same configuration record and summarizes where
-# the ensemble ends up.
+# flow), and integrate all members in lockstep with one call.  Distinct
+# starts never cross in configuration space-time: the guidance field is
+# single valued, so the map from start to world line is one to one.  The
+# script verifies no two members ever visit the same configuration record
+# and summarizes where the ensemble ends up.
 ##############################################################################
 
 import math
@@ -32,8 +32,8 @@ terminations = Counter()
 seen = {}
 shared = 0
 finals = []
-for member, q0 in enumerate(points):
-    traj = pf.integrate(model, q0, epsilon=0.01, n_steps=200, scheme="midpoint")
+members = pf.integrate(model, points, epsilon=0.01, n_steps=200, scheme="midpoint")
+for member, traj in enumerate(members):
     terminations[traj.termination] += 1
     for rec in traj.records:
         key = (rec.q.z1, rec.q.t1, rec.q.z2, rec.q.t2)

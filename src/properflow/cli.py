@@ -64,7 +64,7 @@ from .integrator import (
     integrate,
     sample_hyperplane,
 )
-from .covariance import compare_frames, convergence_study
+from .covariance import compare_frames, convergence_study, step_count
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -325,6 +325,13 @@ def load_config(
                     f"boost.epsilons (line {_line_of(raw, 'boost', 'epsilons')}): "
                     "must be strictly decreasing"
                 )
+            for e in epsilons:
+                try:
+                    step_count(e, total_proper_time)
+                except ValueError as err:
+                    raise ConfigError(
+                        f"boost.epsilons (line {_line_of(raw, 'boost', 'epsilons')}): {err}"
+                    ) from None
 
     ensemble = None
     if "ensemble" in raw:
@@ -387,16 +394,26 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _atomic_write(path: Path, text: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as handle:
-            handle.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        os.unlink(tmp)
-        raise
+def _writer(out_dir: Path):
+    """write(name, text) into out_dir, creating the directory on the first
+    write; each file goes to a temp file that is then renamed over it."""
+    made = False
+
+    def write(name: str, text: str) -> None:
+        nonlocal made
+        if not made:
+            out_dir.mkdir(parents=True, exist_ok=True)
+            made = True
+        fd, tmp = tempfile.mkstemp(dir=out_dir, prefix=name, suffix=".tmp")
+        try:
+            with os.fdopen(fd, "w") as handle:
+                handle.write(text)
+            os.replace(tmp, out_dir / name)
+        except BaseException:
+            os.unlink(tmp)
+            raise
+
+    return write
 
 
 def _echo_lines(cfg: RunConfig) -> list[str]:
@@ -573,8 +590,9 @@ def _exit_for_error(err: Exception) -> int:
 def cmd_simulate(cfg: RunConfig) -> int:
     model = build_model(cfg)
     traj = integrate(model, cfg.q0, cfg.epsilon, cfg.n_steps, cfg.scheme)
-    _atomic_write(cfg.out_dir / "trajectory.csv", trajectory_csv(traj, cfg))
-    _atomic_write(cfg.out_dir / "trajectory.svg", emit_svg(traj))
+    write = _writer(cfg.out_dir)
+    write("trajectory.csv", trajectory_csv(traj, cfg))
+    write("trajectory.svg", emit_svg(traj))
     if not traj.completed:
         print(f"simulate: terminated early: {traj.termination}", file=sys.stderr)
     return _TERMINATION_EXIT[traj.termination]
@@ -587,19 +605,22 @@ def cmd_ensemble(cfg: RunConfig) -> int:
     points = sample_hyperplane(
         model, cfg.ensemble.count, cfg.ensemble.weighting, cfg.ensemble.seed
     )
+    # All members are stepped in lockstep; a member whose start fails
+    # raises when reached, after the members before it are written.
+    trajectories = integrate(model, points, cfg.epsilon, cfg.n_steps, cfg.scheme)
+    write = _writer(cfg.out_dir)
     members: list[tuple[ConfigPoint, Trajectory]] = []
     exit_code = EXIT_OK
-    for k, q0 in enumerate(points):
-        traj = integrate(model, q0, cfg.epsilon, cfg.n_steps, cfg.scheme)
+    for k, (q0, traj) in enumerate(zip(points, trajectories)):
         members.append((q0, traj))
-        _atomic_write(cfg.out_dir / f"member_{k:03d}.csv", trajectory_csv(traj, cfg))
+        write(f"member_{k:03d}.csv", trajectory_csv(traj, cfg))
         if exit_code == EXIT_OK and not traj.completed:
             exit_code = _TERMINATION_EXIT[traj.termination]
             print(
                 f"ensemble: member {k} terminated early: {traj.termination}",
                 file=sys.stderr,
             )
-    _atomic_write(cfg.out_dir / "summary.csv", ensemble_summary_csv(cfg, members))
+    write("summary.csv", ensemble_summary_csv(cfg, members))
     return exit_code
 
 
@@ -608,12 +629,13 @@ def cmd_covariance(cfg: RunConfig) -> int:
         raise ConfigError("covariance command needs a [boost] section")
     model = build_model(cfg)
     comp = compare_frames(model, cfg.q0, cfg.boost, cfg.epsilon, cfg.n_steps, cfg.scheme)
-    _atomic_write(cfg.out_dir / "comparison.csv", comparison_csv(comp, cfg))
+    write = _writer(cfg.out_dir)
+    write("comparison.csv", comparison_csv(comp, cfg))
     if cfg.epsilons is not None:
         report = convergence_study(
             model, cfg.q0, cfg.boost, cfg.epsilons, cfg.total_proper_time, cfg.scheme
         )
-        _atomic_write(cfg.out_dir / "convergence.csv", convergence_csv(report, cfg))
+        write("convergence.csv", convergence_csv(report, cfg))
     return EXIT_OK
 
 

@@ -111,6 +111,17 @@ def compare_frames(
     )
 
 
+def step_count(epsilon: float, total_proper_time: float) -> int:
+    """round(T / epsilon), after checking epsilon divides T to rounding
+    accuracy; raises ValueError otherwise."""
+    n = round(total_proper_time / epsilon)
+    if n < 1 or abs(n * epsilon - total_proper_time) > 1e-9 * total_proper_time:
+        raise ValueError(
+            f"epsilon {epsilon!r} does not divide total proper time {total_proper_time!r}"
+        )
+    return n
+
+
 def convergence_study(
     model: WaveModel,
     q0: ConfigPoint,
@@ -132,14 +143,7 @@ def convergence_study(
         raise ValueError(f"epsilon list must be strictly decreasing, got {eps!r}")
     if not total_proper_time > 0.0:
         raise ValueError(f"total proper time must be positive, got {total_proper_time!r}")
-    counts = []
-    for e in eps:
-        n = round(total_proper_time / e)
-        if n < 1 or abs(n * e - total_proper_time) > 1e-9 * total_proper_time:
-            raise ValueError(
-                f"epsilon {e!r} does not divide total proper time {total_proper_time!r}"
-            )
-        counts.append(n)
+    counts = [step_count(e, total_proper_time) for e in eps]
     deviations = []
     for e, n in zip(eps, counts):
         try:

@@ -19,11 +19,22 @@ float kernels are the bodies of the public ``log_derivatives``,
 in value objects, so both routes give the same bits.  The loop carries
 (z1, t1, z2, t2) as floats and builds a ``ConfigPoint`` only for each
 ``StepRecord`` and for error messages.
+
+An ensemble runs in lockstep: ``integrate`` given a sequence of starts
+instead of one ``ConfigPoint`` steps every member at once as numpy arrays
+through the same kernels, which choose their path by input type.  There
+each guard is a mask instead of an exception; a member stops recording
+at its first fault, tagged by the guard the float chain would have met
+first (domain, node, particle 1's flow, particle 2's flow).  Each
+``Trajectory`` is built from the arrays once, at the end, and agrees with
+a single-start run to rounding.  The sampler's eigenvalue weights come
+from the same array kernels.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from typing import Literal
 
@@ -36,7 +47,7 @@ from .errors import (
     SamplingError,
 )
 from .minkowski import null_step
-from .stress_energy import flow_entries, tensor_entries
+from .stress_energy import characteristic, flow_entries, tensor_entries
 from .wavefield import ConfigPoint, WaveModel, log_ratios
 
 Scheme = Literal["euler", "midpoint"]
@@ -48,6 +59,10 @@ TERMINATIONS: tuple[str, ...] = (
     "node_abort",
     "degenerate_abort",
     "boundary_abort",
+)
+
+_NODE, _DEGENERATE, _BOUNDARY = (
+    TERMINATIONS.index(tag) for tag in ("node_abort", "degenerate_abort", "boundary_abort")
 )
 
 DEFAULT_EPSILON = 0.01
@@ -101,24 +116,55 @@ def _abort_tag(err: FlowError) -> str:
     return "degenerate_abort"
 
 
-def _flow(p: float, r_t: complex, r_z: complex, m: float) -> tuple[float, float]:
-    """(v, lambda_time) of one particle from its log-gradient ratios."""
+def _flow(p, r_t, r_z, m: float):
+    """``flow_entries`` from a particle's log-gradient ratios."""
     tt, tz, zt, zz, _ = tensor_entries(p, r_t.real, r_z.real, r_t.imag, r_z.imag, m)
-    lam, _, v = flow_entries(tt, tz, zt, zz)
-    return v, lam
+    return flow_entries(tt, tz, zt, zz)
 
 
 def _flows(model: WaveModel, z1: float, t1: float, z2: float, t2: float):
     """(v1, lambda1, v2, lambda2) at one configuration point."""
     _, p, r1t, r1z, r2t, r2z = log_ratios(model, z1, t1, z2, t2)
     m = model.mass
-    return (*_flow(p, r1t, r1z, m), *_flow(p, r2t, r2z, m))
+    lam1, _, v1 = _flow(p, r1t, r1z, m)
+    lam2, _, v2 = _flow(p, r2t, r2z, m)
+    return v1, lam1, v2, lam2
+
+
+def _array_flows(model: WaveModel, z1, t1, z2, t2):
+    """(v1, lambda1, v2, lambda2, fault) at arrays of configuration points.
+
+    fault is, per point, the index in TERMINATIONS of the tag the float
+    chain would give there (0 where every guard passes), taking the guards
+    in the float chain's order: domain, node, then each particle's flow.
+    """
+    _, p, r1t, r1z, r2t, r2z, outside, node = log_ratios(model, z1, t1, z2, t2)
+    # Both particles in one pass, particle 1's entries first: half the
+    # numpy calls, the same values.
+    n = len(p)
+    lam, _, v, bad = _flow(
+        np.concatenate((p, p)),
+        np.concatenate((r1t, r2t)),
+        np.concatenate((r1z, r2z)),
+        model.mass,
+    )
+    flow = _DEGENERATE * (bad[:n] | bad[n:])
+    fault = np.where(outside, _BOUNDARY, np.where(node, _NODE, flow))
+    return v[:n], lam[:n], v[n:], lam[n:], fault
 
 
 def _displace(z1, t1, z2, t2, v1, v2, epsilon, d):
     _, _, dt1, dz1 = null_step(v1, epsilon)
     _, _, dt2, dz2 = null_step(v2, epsilon)
     return z1 + d * dz1, t1 + d * dt1, z2 + d * dz2, t2 + d * dt2
+
+
+def _array_displace(z1, t1, z2, t2, v1, v2, epsilon):
+    """Forward ``_displace`` of arrays.  null_step's light-speed mask is
+    dropped: flow_entries has masked the same condition on v already."""
+    _, _, dt1, dz1, _ = null_step(v1, epsilon)
+    _, _, dt2, dz2, _ = null_step(v2, epsilon)
+    return z1 + dz1, t1 + dt1, z2 + dz2, t2 + dt2
 
 
 def _step_from(model, z1, t1, z2, t2, v1, v2, epsilon, scheme, direction):
@@ -196,21 +242,73 @@ def _integrate(
     )
 
 
+def _lockstep(
+    model: WaveModel, starts: tuple[ConfigPoint, ...], epsilon: float, n_steps: int, scheme: str
+) -> Iterator[Trajectory]:
+    """Step every start together as numpy arrays, then yield trajectories.
+
+    A member stops recording at its first fault; its entries are still
+    computed, and ignored, so the arrays keep one shape.  A step that
+    leaves the well is caught by the domain guard of the next evaluation,
+    which gives the tag and records of the float chain's post-step check.
+    """
+    z1, t1, z2, t2 = np.array(
+        [(q.z1, q.t1, q.z2, q.t2) for q in starts], dtype=float
+    ).reshape(-1, 4).T.copy()
+    ended = np.zeros(len(starts), dtype=np.intp)  # TERMINATIONS index, 0 while running
+    counts = np.zeros(len(starts), dtype=np.intp)
+    rows = []
+    with np.errstate(all="ignore"):
+        for j in range(n_steps + 1):
+            v1, lam1, v2, lam2, fault = _array_flows(model, z1, t1, z2, t2)
+            ended = np.where(ended, ended, fault)
+            counts += ended == 0
+            rows.append((z1, t1, z2, t2, v1, v2, lam1, lam2))
+            if j == n_steps or ended.all():
+                break
+            if scheme == "midpoint":
+                half = _array_displace(z1, t1, z2, t2, v1, v2, 0.5 * epsilon)
+                v1, _, v2, _, fault = _array_flows(model, *half)
+                ended = np.where(ended, ended, fault)
+            z1, t1, z2, t2 = _array_displace(z1, t1, z2, t2, v1, v2, epsilon)
+    # [member, record, column], columns as in a StepRecord.
+    table = np.array(rows).transpose(2, 0, 1)
+    for q0, member, count, end in zip(starts, table, counts.tolist(), ended.tolist()):
+        if count == 0:
+            # The start itself fails: the float chain raises its error.
+            yield _integrate(model, q0, epsilon, n_steps, scheme, direction=1)
+            continue
+        records = tuple(
+            StepRecord(j * epsilon, ConfigPoint(z1, t1, z2, t2), v1, v2, lam1, lam2)
+            for j, (z1, t1, z2, t2, v1, v2, lam1, lam2) in enumerate(member[:count].tolist())
+        )
+        yield Trajectory(
+            epsilon=epsilon, scheme=scheme, records=records, termination=TERMINATIONS[end]
+        )
+
+
 def integrate(
     model: WaveModel,
-    q0: ConfigPoint,
+    q0: ConfigPoint | Sequence[ConfigPoint],
     epsilon: float,
     n_steps: int,
     scheme: Scheme = DEFAULT_SCHEME,
-) -> Trajectory:
+) -> Trajectory | Iterator[Trajectory]:
     """Integrate n_steps proper-time steps forward from q0.
 
     A failed evaluation after the first record yields a partial trajectory
     with the matching termination tag; a failure at q0 itself propagates,
     since no trajectory exists at all.
+
+    Given a sequence of starts instead of one ConfigPoint, all members are
+    stepped in lockstep as numpy arrays and an iterator over their
+    trajectories, in order, is returned.  On reaching a member whose start
+    fails it raises that start's error, as a single-start call would.
     """
     _check_run_args(epsilon, n_steps, scheme)
-    return _integrate(model, q0, epsilon, n_steps, scheme, direction=1)
+    if isinstance(q0, ConfigPoint):
+        return _integrate(model, q0, epsilon, n_steps, scheme, direction=1)
+    return _lockstep(model, tuple(q0), epsilon, n_steps, scheme)
 
 
 def reverse_check(model: WaveModel, traj: Trajectory) -> float:
@@ -244,42 +342,38 @@ def _particle_distance(a: ConfigPoint, b: ConfigPoint) -> float:
     return max(d1, d2)
 
 
-def _timelike_lambda(a2, r_t, r_z, m: float):
-    """Closed-form timelike eigenvalue |Psi|^2 (m^2 + X) on arrays.
+def _timelike_lambdas(model: WaveModel, z1, t1, z2, t2):
+    """(lambda1, lambda2, ok) at arrays of points, for sampling weights.
 
-    X = sqrt((P.P - S.S)^2 + 4 (P.S)^2) is the positive root separation of
-    the characteristic polynomial; the larger eigenvalue always belongs to
-    the timelike eigenvector for tensors assembled from gradients.  Used
-    for sampling weights only; the guidance law itself goes through
-    ``eigenflows``, and a test ties the two to rounding.  This array copy
-    of the formula goes once ``eigenflows`` accepts arrays, which a
-    lockstep batched ensemble needs (see ROADMAP.md).
+    Each lambda is the larger root (tr + sqrt(disc)) / 2 of the particle's
+    ``tensor_entries``, which is its timelike eigenvalue; ok masks the
+    points that pass the domain and node guards.
     """
-    pt, st = r_t.real, r_t.imag
-    pz, sz = r_z.real, r_z.imag
-    pp = pt * pt - pz * pz
-    ss = st * st - sz * sz
-    ps = pt * st - pz * sz
-    return a2 * (m * m + np.sqrt((pp - ss) ** 2 + 4.0 * ps * ps))
+    _, p, r1t, r1z, r2t, r2z, outside, node = log_ratios(model, z1, t1, z2, t2)
+    lams = []
+    for r_t, r_z in ((r1t, r1z), (r2t, r2z)):
+        tt, tz, zt, zz, _ = tensor_entries(
+            p, r_t.real, r_z.real, r_t.imag, r_z.imag, model.mass
+        )
+        tr, disc = characteristic(tt, tz, zt, zz)
+        lams.append(0.5 * (tr + np.sqrt(disc)))
+    return lams[0], lams[1], ~(outside | node)
 
 
 def _eigenvalue_weights(model: WaveModel, z1: np.ndarray, z2: np.ndarray) -> np.ndarray:
-    """lambda1 * lambda2 on the t1 = t2 = 0 hyperplane; zero where guarded."""
-    t = np.zeros_like(z1)
-    psi, dt1, dz1, dt2, dz2 = model.fields(z1, t, z2, t)
-    a2 = psi.real**2 + psi.imag**2
-    ok = model.contains(z1, t, z2, t) & (a2 >= model.amp2_floor)
+    """lambda1 * lambda2 on the t1 = t2 = 0 hyperplane; zero where guarded.
+
+    z1 and z2 broadcast against each other, so a grid can be passed as a
+    row and a column and each mode is evaluated once per grid line.
+    """
     with np.errstate(all="ignore"):
-        lam1 = _timelike_lambda(a2, dt1 / psi, dz1 / psi, model.mass)
-        lam2 = _timelike_lambda(a2, dt2 / psi, dz2 / psi, model.mass)
-        w = np.where(ok, lam1 * lam2, 0.0)
-    return w
+        lam1, lam2, ok = _timelike_lambdas(model, z1, np.zeros_like(z1), z2, np.zeros_like(z2))
+        return np.where(ok, lam1 * lam2, 0.0)
 
 
 def _weight_bound(model: WaveModel) -> float:
     grid = np.linspace(0.0, model.well_width, 241)[1:-1]
-    g1, g2 = np.meshgrid(grid, grid)
-    top = float(np.max(_eigenvalue_weights(model, g1.ravel(), g2.ravel())))
+    top = float(np.max(_eigenvalue_weights(model, grid[None, :], grid[:, None])))
     if not top > 0.0:
         raise SamplingError("eigenvalue weight vanishes on the sampling grid")
     # Headroom over the grid maximum keeps the envelope valid between nodes.

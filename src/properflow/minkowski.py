@@ -11,12 +11,17 @@ is passive: positive rapidity re-describes the same worldline from a frame
 moving with velocity +tanh(a), so a particle at rest acquires coordinate
 velocity -tanh(a).  Null coordinates diagonalize it, picking up the factors
 e^{-a} (on v) and e^{+a} (on u).
+
+``null_step`` also takes an array of velocities: numpy then runs the same
+expressions elementwise and the light-speed guard comes back as a mask.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import LightlikeVelocityError
 
@@ -76,9 +81,12 @@ def _require_subluminal(v: float) -> None:
         )
 
 
-def _rapidity(v: float) -> float:
-    _require_subluminal(v)
-    return 0.5 * math.log((1.0 + v) / (1.0 - v))
+def _rapidity(v, array: bool = False):
+    """0.5 ln((1 + v) / (1 - v)); a float is held to the light-speed guard
+    first, an array is not (``null_step`` returns the guard as a mask)."""
+    if not array:
+        _require_subluminal(v)
+    return 0.5 * (np.log if array else math.log)((1.0 + v) / (1.0 - v))
 
 
 def rapidity_from_velocity(v: float) -> Rapidity:
@@ -100,14 +108,21 @@ def velocity_addition(v: float, u: float) -> float:
     return (v + u) / (1.0 + v * u)
 
 
-def null_step(v: float, epsilon: float) -> tuple[float, float, float, float]:
-    """Float kernel of ``proper_step``: (du, dv, dt, dz), same guards."""
+def null_step(v, epsilon: float):
+    """Float kernel of ``proper_step``: (du, dv, dt, dz), same guards.
+
+    An array of velocities goes through the same expressions elementwise
+    and returns (du, dv, dt, dz, beyond), where the mask ``beyond`` is True
+    wherever a float velocity would raise.
+    """
     if not epsilon > 0.0:
         raise ValueError(f"epsilon must be positive, got {epsilon!r}")
-    ea = math.exp(_rapidity(v))
+    array = not isinstance(v, float) and isinstance(v, np.ndarray)
+    ea = (np.exp if array else math.exp)(_rapidity(v, array))
     dv = epsilon * ea
     du = epsilon / ea
-    return du, dv, 0.5 * (du + dv), 0.5 * (dv - du)
+    step = du, dv, 0.5 * (du + dv), 0.5 * (dv - du)
+    return step + (~(abs(v) < VELOCITY_LIMIT),) if array else step
 
 
 def proper_step(v: float, epsilon: float) -> tuple[NullStep, float, float]:

@@ -27,7 +27,11 @@ Assembly and the eigen solve are float kernels returning tuples:
 ``tensor_entries`` (the body of ``assemble``) and ``flow_entries`` (the
 body of ``eigenflows``).  The public functions wrap them in
 ``StressTensor`` and ``TimelikeFlow``; the integrator calls the kernels
-directly, so no value object is built per evaluation.
+directly, so no value object is built per evaluation.  Both kernels also
+take numpy arrays, one entry per ensemble member: the path is chosen by
+input type, the arrays run through the same expressions in the same
+order, branches become ``np.where`` selections and the guards of
+``flow_entries`` come back as a mask instead of an exception.
 """
 
 from __future__ import annotations
@@ -119,11 +123,12 @@ def tensor_entries(
     """Float kernel of ``assemble``: (tt, tz, zt, zz, |Psi|^2) of one particle.
 
     p = ln|Psi| and (pt, pz, st, sz) are the particle's lower-index
-    gradients of p and s.
+    gradients of p and s.  Arrays of p and gradients give arrays of entries.
     """
     if not m >= 0.0:
         raise ValueError(f"mass must be nonnegative, got {m!r}")
-    a2 = math.exp(2.0 * p)
+    two_p = 2.0 * p
+    a2 = math.exp(two_p) if isinstance(two_p, float) else np.exp(two_p)
     pp = pt * pt - pz * pz
     ss = st * st - sz * sz
     iso = a2 * (m * m - pp - ss)
@@ -142,9 +147,7 @@ def assemble(ld: LogDerivatives, i: int, m: float) -> StressTensor:
     return StressTensor(*tensor_entries(ld.p, *ld.particle(i), m))
 
 
-def _row_eigvec(
-    tt: float, tz: float, zt: float, zz: float, lam: float
-) -> tuple[float, float]:
+def _row_eigvec(tt, tz, zt, zz, lam):
     """Eigenvector of T for eigenvalue lam from the larger row of T - lam I.
 
     A row (a, b) of the rank-one matrix T - lam I annihilates the
@@ -155,27 +158,55 @@ def _row_eigvec(
     """
     r1t, r1z = tz, lam - tt
     r2t, r2z = lam - zz, zt
-    if max(abs(r1t), abs(r1z)) >= max(abs(r2t), abs(r2z)):
-        return r1t, r1z
-    return r2t, r2z
+    if isinstance(lam, float):
+        if max(abs(r1t), abs(r1z)) >= max(abs(r2t), abs(r2z)):
+            return r1t, r1z
+        return r2t, r2z
+    first = np.maximum(abs(r1t), abs(r1z)) >= np.maximum(abs(r2t), abs(r2z))
+    return np.where(first, r1t, r2t), np.where(first, r1z, r2z)
 
 
-def flow_entries(tt: float, tz: float, zt: float, zz: float) -> tuple[float, float, float]:
-    """Float kernel of ``eigenflows``: (lambda_time, lambda_space, v)."""
+def characteristic(tt, tz, zt, zz):
+    """(tr, disc): trace of T and discriminant tr^2 - 4 det of its
+    characteristic polynomial, whose roots are (tr +/- sqrt(disc)) / 2.
+
+    For a tensor assembled from gradients the larger root is the timelike
+    eigenvalue.  Elementwise on arrays.
+    """
     tr = tt + zz
-    disc = tr * tr - 4.0 * (tt * zz - tz * zt)
-    if disc < 0.0:
-        raise NoTimelikeFlowError(f"complex eigenvalue pair (discriminant {disc!r})")
-    if disc < DEGENERACY_FLOOR_RATIO * tr * tr:
-        raise DegenerateFlowError(
-            f"discriminant {disc!r} below degeneracy floor for trace {tr!r}"
-        )
-    root = math.sqrt(disc)
+    return tr, tr * tr - 4.0 * (tt * zz - tz * zt)
+
+
+def flow_entries(tt, tz, zt, zz):
+    """Float kernel of ``eigenflows``: (lambda_time, lambda_space, v).
+
+    Arrays of entries return (lambda_time, lambda_space, v, bad), where the
+    mask ``bad`` is True wherever a float tensor would raise; the values
+    there are meaningless and may be inf or nan.
+    """
+    tr, disc = characteristic(tt, tz, zt, zz)
+    array = not isinstance(disc, float)
+    if array:
+        bad = (disc < 0.0) | (disc < DEGENERACY_FLOOR_RATIO * tr * tr)
+        root = np.sqrt(disc)
+    else:
+        if disc < 0.0:
+            raise NoTimelikeFlowError(f"complex eigenvalue pair (discriminant {disc!r})")
+        if disc < DEGENERACY_FLOOR_RATIO * tr * tr:
+            raise DegenerateFlowError(
+                f"discriminant {disc!r} below degeneracy floor for trace {tr!r}"
+            )
+        root = math.sqrt(disc)
     lam_hi, lam_lo = 0.5 * (tr + root), 0.5 * (tr - root)
     ht, hz = _row_eigvec(tt, tz, zt, zz, lam_hi)
     lt, lz = _row_eigvec(tt, tz, zt, zz, lam_lo)
     n_hi, n_lo = (ht - hz) * (ht + hz), (lt - lz) * (lt + lz)
-    if n_hi > 0.0 > n_lo:
+    if array:
+        hi = (n_hi > 0.0) & (0.0 > n_lo)
+        bad |= ~(hi | ((n_lo > 0.0) & (0.0 > n_hi)))
+        wt, wz = np.where(hi, ht, lt), np.where(hi, hz, lz)
+        lam_time, lam_space = np.where(hi, lam_hi, lam_lo), np.where(hi, lam_lo, lam_hi)
+    elif n_hi > 0.0 > n_lo:
         wt, wz, lam_time, lam_space = ht, hz, lam_hi, lam_lo
     elif n_lo > 0.0 > n_hi:
         wt, wz, lam_time, lam_space = lt, lz, lam_lo, lam_hi
@@ -185,6 +216,8 @@ def flow_entries(tt: float, tz: float, zt: float, zz: float) -> tuple[float, flo
         )
     # Adding +0.0 turns a -0.0 from an exactly vanishing row entry into 0.0.
     v = wz / wt + 0.0
+    if array:
+        return lam_time, lam_space, v, bad | ~(abs(v) < VELOCITY_LIMIT)
     if not abs(v) < VELOCITY_LIMIT:
         raise LightlikeVelocityError(
             f"flow velocity {v!r} at or beyond the light-speed guard"

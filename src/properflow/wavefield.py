@@ -15,7 +15,10 @@ are the real and imaginary parts of (d Psi / Psi).
 
 Evaluation is guarded twice: outside the well the analytic formulas no
 longer describe the physical state (boundary error), and too close to a
-node of Psi the log derivatives blow up (node-proximity error).
+node of Psi the log derivatives blow up (node-proximity error).  Float
+coordinates raise at the first guard; arrays of coordinates (one entry
+per ensemble member) are evaluated everywhere and return both guards as
+masks.
 """
 
 from __future__ import annotations
@@ -332,31 +335,43 @@ def rescaled(model: WaveModel, factor: complex) -> RescaledModel:
 def _checked_fields(model: WaveModel, z1, t1, z2, t2):
     """Evaluate fields after the domain and node guards.
 
-    Returns |Psi|^2 and the five fields as Python complex numbers.
+    Returns |Psi|^2, the five fields as Python complex numbers and an
+    empty tuple.  Arrays of coordinates are evaluated at every entry and
+    return in its place the guard masks (outside, node), True wherever a
+    float point would raise; the fields there are meaningless.
     """
-    if not model.contains(z1, t1, z2, t2):
+    array = not isinstance(z1, float) and isinstance(z1, np.ndarray)
+    if array:
+        outside = ~model.contains(z1, t1, z2, t2)
+    elif not model.contains(z1, t1, z2, t2):
         raise BoundaryError(
             f"configuration {ConfigPoint(z1, t1, z2, t2)} outside the well region"
         )
     psi, dt1, dz1, dt2, dz2 = model.fields(z1, t1, z2, t2)
-    psi = complex(psi)
+    if not array:
+        psi = complex(psi)
     a2 = psi.real * psi.real + psi.imag * psi.imag
+    if array:
+        return a2, psi, dt1, dz1, dt2, dz2, (outside, a2 < model.amp2_floor)
     if a2 < model.amp2_floor:
         raise NodeProximityError(
             f"|Psi|^2 = {a2!r} below node floor {model.amp2_floor!r} "
             f"at {ConfigPoint(z1, t1, z2, t2)}"
         )
-    return a2, psi, complex(dt1), complex(dz1), complex(dt2), complex(dz2)
+    return a2, psi, complex(dt1), complex(dz1), complex(dt2), complex(dz2), ()
 
 
 def log_ratios(model: WaveModel, z1, t1, z2, t2):
     """Float kernel of ``log_derivatives``: (Psi, p, r1t, r1z, r2t, r2z).
 
     p = ln|Psi| and r_i = (d Psi / Psi) per coordinate of particle i, whose
-    real and imaginary parts are the gradients of p and s.
+    real and imaginary parts are the gradients of p and s.  Arrays of
+    coordinates return arrays, followed by the masks (outside, node) of
+    the domain and node guards.
     """
-    a2, psi, dt1, dz1, dt2, dz2 = _checked_fields(model, z1, t1, z2, t2)
-    return psi, 0.5 * math.log(a2), dt1 / psi, dz1 / psi, dt2 / psi, dz2 / psi
+    a2, psi, dt1, dz1, dt2, dz2, guards = _checked_fields(model, z1, t1, z2, t2)
+    log = np.log if guards else math.log
+    return (psi, 0.5 * log(a2), dt1 / psi, dz1 / psi, dt2 / psi, dz2 / psi) + guards
 
 
 def log_derivatives(model: WaveModel, q: ConfigPoint) -> LogDerivatives:

@@ -273,6 +273,53 @@ def test_criterion_09_determinism_and_uniqueness(model, tmp_path):
                    f"seeded reruns identical = {identical}")
 
 
+def test_moving_ensemble_never_shares_a_record(model):
+    """Criterion 9's non-crossing on an ensemble that moves.
+
+    Equal-time starts are static (criterion 1), so criterion 9's ensemble
+    never moves.  Here 100 clock-offset members, z1 in [0.8, 1.2], z2 in
+    [1.9, 2.3] and |t1 - t2| in [0.5, 1.5] (away from both node lines), run
+    500 lockstep steps: no two members share a record, and at every sigma
+    each pair stays apart by more than the rounding floor.  The budget is
+    process CPU time, so other load on the machine does not count.
+    """
+    rng = np.random.default_rng(2001)
+    t2 = rng.uniform(-1.0, 1.0, 100)
+    t1 = t2 + rng.choice((-1.0, 1.0), 100) * rng.uniform(0.5, 1.5, 100)
+    starts = [
+        pf.ConfigPoint(*map(float, q))
+        for q in zip(rng.uniform(0.8, 1.2, 100), t1, rng.uniform(1.9, 2.3, 100), t2)
+    ]
+    t0 = time.process_time()
+    ensemble = list(pf.integrate(model, starts, EPS, STEPS, "midpoint"))
+    elapsed = time.process_time() - t0
+
+    completed = sum(traj.completed for traj in ensemble)
+    moved = min(
+        np.max(np.abs(traj.configuration_array()[:, [0, 2]] - [q.z1, q.z2]))
+        for q, traj in zip(starts, ensemble)
+    )
+    seen = {}
+    shared = 0
+    for member, traj in enumerate(ensemble):
+        for rec in traj.records:
+            key = (rec.q.z1, rec.q.t1, rec.q.z2, rec.q.t2)
+            if key in seen and seen[key] != member:
+                shared += 1
+            seen[key] = member
+    floor = 10.0 * EPS * np.finfo(float).eps
+    common = min(len(traj.records) for traj in ensemble)
+    paths = np.stack([traj.configuration_array()[:common] for traj in ensemble])
+    closest = min(
+        np.min(np.linalg.norm(paths[i + 1:] - paths[i], axis=2)) for i in range(len(paths) - 1)
+    )
+
+    ok = completed == 100 and moved > 0.05 and shared == 0 and closest > floor and elapsed < 1.0
+    _report(9, ok, f"moving ensemble: {completed} of 100 completed, least-moving member "
+                   f"travels {moved:.3f} in z, shared records = {shared}, closest pair = "
+                   f"{closest:.2e}, {elapsed:.2f} s CPU")
+
+
 def test_criterion_10_ground_mode_energy_density():
     lone = pf.lone_state(pf.box_mode(1, L, 0.0))
     rng = np.random.default_rng(2024)

@@ -169,6 +169,39 @@ def test_ensemble_outputs(tmp_path):
     assert "# ensemble.weighting = eigenvalue" in (out / "summary.csv").read_text()
 
 
+def test_ensemble_creates_its_directory_once(tmp_path, monkeypatch):
+    """One mkdir per command, however many members; no temp file is left."""
+    made = []
+    mkdir = type(tmp_path).mkdir
+
+    def counting_mkdir(path, *args, **kwargs):
+        made.append(path)
+        return mkdir(path, *args, **kwargs)
+
+    monkeypatch.setattr(type(tmp_path), "mkdir", counting_mkdir)
+    cfg = _write(tmp_path, FIG2 + ENSEMBLE_BLOCK)
+    out = tmp_path / "out"
+    assert cli.main(["ensemble", "--config", cfg, "--out", str(out)]) == 0
+    assert made == [out]
+    assert len(list(out.iterdir())) == 7
+    assert not list(out.glob("*.tmp"))
+
+
+def test_ensemble_stops_at_a_failing_start(tmp_path, capsys, monkeypatch):
+    """Members before the failing start are written; then its exit code."""
+    points = [pf.ConfigPoint(1.0, 0.0, 2.0, 0.0), pf.ConfigPoint(1.2, 0.0, 2.1, 0.0),
+              pf.ConfigPoint(1e-7, 0.0, 2.0, 0.0), pf.ConfigPoint(0.9, 0.0, 2.2, 0.0)]
+    monkeypatch.setattr(cli, "sample_hyperplane", lambda *args: points)
+    cfg = _write(tmp_path, FIG2 + ENSEMBLE_BLOCK)
+    out = tmp_path / "out"
+    assert cli.main(["ensemble", "--config", cfg, "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    with pytest.raises(pf.NodeProximityError) as single:
+        pf.integrate(cli.build_model(cli.load_config(cfg, out)), points[2], 0.01, 60)
+    assert err == f"ensemble: {single.value}\n"
+    assert sorted(p.name for p in out.iterdir()) == ["member_000.csv", "member_001.csv"]
+
+
 def test_ensemble_reruns_are_byte_identical(tmp_path):
     cfg = _write(tmp_path, FIG2 + ENSEMBLE_BLOCK)
     out1, out2 = tmp_path / "a", tmp_path / "b"
@@ -251,9 +284,11 @@ def test_config_errors(tmp_path, capsys):
         ("covariance", "velocity = 0.3", "velocity = 0.9999999999"),
         ("covariance", "velocity = 0.3", "alpha = nan"),
         ("simulate", "epsilon = 0.01", "epsilon = inf"),
+        ("covariance", "epsilons = 0.02 0.01 0.005", "epsilons = 0.02 0.01 0.003"),
     ],
     ids=["alpha-overflow", "model-alpha-overflow", "infinite-proper-time",
-         "zero-epsilon", "velocity-at-guard", "nan-alpha", "infinite-epsilon"],
+         "zero-epsilon", "velocity-at-guard", "nan-alpha", "infinite-epsilon",
+         "epsilon-not-dividing"],
 )
 def test_invalid_config_values(tmp_path, capsys, command, old, new):
     """Out-of-range numbers are config errors naming their key and line."""

@@ -1,13 +1,14 @@
 """Equal-proper-time stepping, trajectory contracts, hyperplane sampling."""
 
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
 
 import properflow as pf
 from properflow.errors import BoundaryError, FlowError, NodeProximityError, SamplingError
-from properflow.integrator import SCHEMES, _timelike_lambda
+from properflow.integrator import SCHEMES, _timelike_lambdas
 
 L = math.pi
 EPS = 0.01
@@ -44,6 +45,31 @@ class TimeCapped(pf.WaveModel):
 
     def contains(self, z1, t1, z2, t2):
         return self.inner.contains(z1, t1, z2, t2) & (t1 < self.cap)
+
+
+class Vanishing(pf.WaveModel):
+    """Delegate whose amplitude vanishes from t1 = cap on.
+
+    With ``domain`` the well region ends there too, so the first point past
+    the cap trips the domain, node and flow guards at once; without it,
+    the node and flow guards.
+    """
+
+    def __init__(self, inner, cap, domain):
+        self.inner = inner
+        self.cap = cap
+        self.domain = domain
+        self.mass = inner.mass
+        self.well_width = inner.well_width
+        self.amp2_floor = inner.amp2_floor
+
+    def fields(self, z1, t1, z2, t2):
+        alive = t1 < self.cap
+        return tuple(alive * f for f in self.inner.fields(z1, t1, z2, t2))
+
+    def contains(self, z1, t1, z2, t2):
+        inside = self.inner.contains(z1, t1, z2, t2)
+        return inside & (t1 < self.cap) if self.domain else inside
 
 
 class Silent(pf.WaveModel):
@@ -337,6 +363,81 @@ def test_aborts_match_reference_route(model):
         assert str(fast.value) == str(reference.value)
 
 
+def _assert_same_run(batched, single):
+    """Same tag and record count, records equal to 1e-12 relative."""
+    assert batched.termination == single.termination
+    assert len(batched.records) == len(single.records)
+    for b, s in zip(batched.records, single.records):
+        assert b.sigma == s.sigma
+        assert _row(b) == pytest.approx(_row(s), rel=1e-12, abs=1e-12)
+
+
+def _row(rec):
+    return (*astuple(rec.q), rec.v1, rec.v2, rec.lambda1, rec.lambda2)
+
+
+def test_lockstep_matches_integrate(model):
+    """A batch of moving members reproduces each single-start run."""
+    for scheme in SCHEMES:
+        batch = list(pf.integrate(model, OFFSET_STARTS, EPS, 300, scheme))
+        assert len(batch) == len(OFFSET_STARTS)
+        for q0, traj in zip(OFFSET_STARTS, batch):
+            assert traj.records[0].q == q0
+            _assert_same_run(traj, pf.integrate(model, q0, EPS, 300, scheme))
+            assert traj.completed and max(abs(r.v1) for r in traj.records) > 0.1
+
+
+def test_lockstep_aborts_match_integrate(model):
+    """Members freeze at their own abort while the rest run on.
+
+    Frozen members keep being evaluated at points where the fields vanish
+    or leave the well; the run must not raise numpy warnings there, which
+    the test configuration turns into errors.
+    """
+    cases = (
+        (ShallowWell(model, 0.15),
+         (pf.ConfigPoint(1.2094, 0.8573, 1.1181, 0.0),) + OFFSET_STARTS[:1] + OFFSET_STARTS[2:],
+         {"node_abort", "completed"}),
+        (TimeCapped(model, 3.0), OFFSET_STARTS, {"boundary_abort", "completed"}),
+    )
+    for capped, starts, tags in cases:
+        for scheme in SCHEMES:
+            batch = list(pf.integrate(capped, starts, EPS, 300, scheme))
+            assert {traj.termination for traj in batch} == tags
+            for q0, traj in zip(starts, batch):
+                _assert_same_run(traj, pf.integrate(capped, q0, EPS, 300, scheme))
+
+
+def test_lockstep_takes_guards_in_float_order(model):
+    """Where several guards trip at once, the tag is the float chain's:
+    domain before node before flow."""
+    for domain, tag in ((True, "boundary_abort"), (False, "node_abort")):
+        vanishing = Vanishing(model, 2.0, domain)
+        for scheme in SCHEMES:
+            batch = list(pf.integrate(vanishing, OFFSET_STARTS, EPS, 300, scheme))
+            assert {traj.termination for traj in batch} == {tag}
+            for q0, traj in zip(OFFSET_STARTS, batch):
+                _assert_same_run(traj, pf.integrate(vanishing, q0, EPS, 300, scheme))
+
+
+def test_lockstep_start_failure_raises_like_integrate(model):
+    """The members before a failing start arrive; then its own error."""
+    shallow = ShallowWell(model, 0.15)
+    cases = (
+        (shallow, OFFSET_STARTS, 1, NodeProximityError),
+        (model, OFFSET_STARTS[:3] + (pf.ConfigPoint(0.0, 0.0, 2.0, 0.0),), 3, BoundaryError),
+    )
+    for wave, starts, bad, error in cases:
+        members = pf.integrate(wave, starts, EPS, 50, "midpoint")
+        for q0 in starts[:bad]:
+            _assert_same_run(next(members), pf.integrate(wave, q0, EPS, 50, "midpoint"))
+        with pytest.raises(error) as batched:
+            next(members)
+        with pytest.raises(error) as single:
+            pf.integrate(wave, starts[bad], EPS, 50, "midpoint")
+        assert str(batched.value) == str(single.value)
+
+
 def test_invalid_start_raises_instead_of_empty_trajectory(model):
     with pytest.raises(NodeProximityError):
         pf.integrate(model, pf.ConfigPoint(1e-7, 0.0, 2.0, 0.0), EPS, 10, "midpoint")
@@ -399,7 +500,7 @@ def test_eigenvalue_sampler_matches_integrated_weight(model):
 
 
 def test_sampler_eigenvalue_formula_matches_eigenflows(model):
-    """The sampler's array formula is the kernel's timelike eigenvalue."""
+    """The sampler's array root is the kernel's timelike eigenvalue."""
     rng = np.random.default_rng(31)
     points = []
     while len(points) < 500:
@@ -411,12 +512,8 @@ def test_sampler_eigenvalue_formula_matches_eigenflows(model):
             continue
     z1, t1, z2, t2 = (np.array(c) for c in zip(*((q.z1, q.t1, q.z2, q.t2)
                                                   for q, _ in points)))
-    psi, dt1, dz1, dt2, dz2 = model.fields(z1, t1, z2, t2)
-    a2 = psi.real**2 + psi.imag**2
-    sampled = (
-        _timelike_lambda(a2, dt1 / psi, dz1 / psi, model.mass),
-        _timelike_lambda(a2, dt2 / psi, dz2 / psi, model.mass),
-    )
+    *sampled, ok = _timelike_lambdas(model, z1, t1, z2, t2)
+    assert ok.all()
     for i in (1, 2):
         kernel = np.array([pf.eigenflows(pf.assemble(ld, i, model.mass)).lambda_time
                            for _, ld in points])
