@@ -29,10 +29,14 @@ unknown sections or keys are rejected with their line number.  Example::
     weighting = uniform
     seed = 1
 
-Exit codes: 0 success, 2 config error, 3 node abort, 4 degenerate flow or
-sampling failure, 5 boundary abort, 6 frame-comparison failure.  Aborted
-runs still write their partial trajectory before exiting nonzero.  All
-files are written atomically (temp file plus rename) and contain no
+The keys, their parsers and which are required form one table,
+``_SCHEMA``.  Exit codes: 0 success, 2 config error or unwritable output,
+3 node abort, 4 degenerate flow or sampling failure, 5 boundary abort, 6
+frame-comparison failure.  Each is the ``exit_code`` of an error class
+(``ConfigError`` here, the rest in ``errors``); a partial run exits with
+``Trajectory.exit_code``, the code of the class whose tag ended it.
+Aborted runs still write their partial trajectory before exiting nonzero.
+All files are written atomically (temp file plus rename) and contain no
 timestamps, so reruns with the same config and seed are byte-identical.
 """
 
@@ -46,45 +50,19 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from xml.etree import ElementTree as ET
 
-from .errors import (
-    BoundaryError,
-    ComparisonFailure,
-    DegenerateFlowError,
-    FlowError,
-    LightlikeVelocityError,
-    NodeProximityError,
-    NoTimelikeFlowError,
-    SamplingError,
-)
+from .errors import ComparisonFailure, FlowError, LightlikeVelocityError, SamplingError
 from .minkowski import Rapidity, rapidity_from_velocity
 from .wavefield import ConfigPoint, WaveModel, boosted, box_mode, entangled_pair
-from .integrator import (
-    SCHEMES,
-    Trajectory,
-    integrate,
-    sample_hyperplane,
-)
+from .integrator import SCHEMES, Trajectory, integrate, sample_hyperplane
 from .covariance import compare_frames, convergence_study, step_count
-
-EXIT_OK = 0
-EXIT_CONFIG = 2
-EXIT_NODE = 3
-EXIT_DEGENERATE = 4
-EXIT_BOUNDARY = 5
-EXIT_COMPARISON = 6
-
-_TERMINATION_EXIT = {
-    "completed": EXIT_OK,
-    "node_abort": EXIT_NODE,
-    "degenerate_abort": EXIT_DEGENERATE,
-    "boundary_abort": EXIT_BOUNDARY,
-}
 
 CSV_HEADER = "sigma,z1,t1,z2,t2,v1,v2,lambda1,lambda2"
 
 
 class ConfigError(Exception):
-    """Malformed or invalid run configuration."""
+    """Malformed or invalid run configuration, or an unwritable output."""
+
+    exit_code = 2
 
 
 @dataclass(frozen=True)
@@ -125,22 +103,77 @@ class PlotSpec:
     height: int = 460
 
 
-_SECTION_KEYS = {
-    "model": {"L", "m", "n_a", "n_b", "boost_velocity", "boost_alpha"},
-    "run": {"z1", "t1", "z2", "t2", "epsilon", "steps", "scheme"},
-    "boost": {"velocity", "alpha", "epsilons", "total_proper_time"},
-    "ensemble": {"count", "weighting", "seed"},
+def _number(text: str) -> float:
+    try:
+        number = float(text)
+    except ValueError:
+        raise ValueError(f"not a number: {text!r}") from None
+    if not math.isfinite(number):
+        raise ValueError(f"not a finite number: {text!r}")
+    return number
+
+
+def _integer(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"not an integer: {text!r}") from None
+
+
+def _numbers(text: str) -> tuple[float, ...]:
+    try:
+        items = tuple(float(part) for part in text.split())
+    except ValueError:
+        raise ValueError(f"not a space-separated number list: {text!r}") from None
+    if not items:
+        raise ValueError("empty list")
+    if not all(math.isfinite(x) for x in items):
+        raise ValueError(f"not all finite: {text!r}")
+    return items
+
+
+# section -> key -> (parser, required).  A section with a required key is
+# itself required; the config echo lists the sections in this order.
+_SCHEMA = {
+    "model": {
+        "L": (_number, True), "m": (_number, True),
+        "n_a": (_integer, True), "n_b": (_integer, True),
+        "boost_velocity": (_number, False), "boost_alpha": (_number, False),
+    },
+    "run": {
+        "z1": (_number, True), "t1": (_number, True),
+        "z2": (_number, True), "t2": (_number, True),
+        "epsilon": (_number, True), "steps": (_integer, True), "scheme": (str, False),
+    },
+    "boost": {
+        "velocity": (_number, False), "alpha": (_number, False),
+        "epsilons": (_numbers, False), "total_proper_time": (_number, False),
+    },
+    "ensemble": {"count": (_integer, False), "weighting": (str, False), "seed": (_integer, False)},
 }
-_REQUIRED = {
-    "model": {"L", "m", "n_a", "n_b"},
-    "run": {"z1", "t1", "z2", "t2", "epsilon", "steps"},
-}
-
-RawConfig = dict[str, dict[str, tuple[str, int]]]
 
 
-def _parse_lines(text: str, origin: str) -> RawConfig:
-    sections: RawConfig = {}
+class _Values:
+    """Parsed values of one config file, each with its line number."""
+
+    def __init__(self, sections: dict[str, dict[str, tuple[object, int]]]):
+        self.sections = sections
+
+    def get(self, section: str, key: str):
+        entry = self.sections.get(section, {}).get(key)
+        return None if entry is None else entry[0]
+
+    def check(self, ok: bool, section: str, key: str, problem: str) -> None:
+        """Raise ``ConfigError("section.key (line N): problem")`` unless ok."""
+        if not ok:
+            line = self.sections[section][key][1]
+            raise ConfigError(f"{section}.{key} (line {line}): {problem}")
+
+
+def _parse_lines(text: str, origin: str) -> tuple[_Values, list[str]]:
+    """The file's values, parsed and checked against ``_SCHEMA``, and its
+    ``section.key = value`` echo lines."""
+    sections: dict[str, dict[str, tuple[str, int]]] = {}
     current: str | None = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -148,7 +181,7 @@ def _parse_lines(text: str, origin: str) -> RawConfig:
             continue
         if line.startswith("[") and line.endswith("]"):
             name = line[1:-1].strip()
-            if name not in _SECTION_KEYS:
+            if name not in _SCHEMA:
                 raise ConfigError(f"{origin}:{lineno}: unknown section [{name}]")
             if name in sections:
                 raise ConfigError(f"{origin}:{lineno}: duplicate section [{name}]")
@@ -160,92 +193,51 @@ def _parse_lines(text: str, origin: str) -> RawConfig:
         if current is None:
             raise ConfigError(f"{origin}:{lineno}: key outside any [section]")
         key, value = (part.strip() for part in line.split("=", 1))
-        if key not in _SECTION_KEYS[current]:
+        if key not in _SCHEMA[current]:
             raise ConfigError(f"{origin}:{lineno}: unknown key {current}.{key}")
         if key in sections[current]:
             raise ConfigError(f"{origin}:{lineno}: duplicate key {current}.{key}")
         sections[current][key] = (value, lineno)
-    for section, needed in _REQUIRED.items():
-        if section not in sections:
+    for section, keys in _SCHEMA.items():
+        needed = {key for key, (_, required) in keys.items() if required}
+        if needed and section not in sections:
             raise ConfigError(f"{origin}: missing required section [{section}]")
-        missing = needed - set(sections[section])
+        missing = needed - set(sections.get(section, ()))
         if missing:
             raise ConfigError(
                 f"{origin}: section [{section}] missing keys: {', '.join(sorted(missing))}"
             )
-    return sections
+    echo = [
+        f"{section}.{key} = {sections[section][key][0]}"
+        for section in _SCHEMA
+        if section in sections
+        for key in sorted(sections[section])
+    ]
+    values = _Values(sections)
+    for section, entries in sections.items():
+        for key, (value, lineno) in entries.items():
+            try:
+                entries[key] = (_SCHEMA[section][key][0](value), lineno)
+            except ValueError as err:
+                values.check(False, section, key, str(err))
+    return values, echo
 
 
-def _take_float(raw: RawConfig, section: str, key: str) -> float | None:
-    if section not in raw or key not in raw[section]:
-        return None
-    value, lineno = raw[section][key]
-    try:
-        number = float(value)
-    except ValueError:
-        raise ConfigError(f"{section}.{key} (line {lineno}): not a number: {value!r}") from None
-    if not math.isfinite(number):
-        raise ConfigError(f"{section}.{key} (line {lineno}): not a finite number: {value!r}")
-    return number
-
-
-def _take_int(raw: RawConfig, section: str, key: str) -> int | None:
-    if section not in raw or key not in raw[section]:
-        return None
-    value, lineno = raw[section][key]
-    try:
-        return int(value)
-    except ValueError:
-        raise ConfigError(f"{section}.{key} (line {lineno}): not an integer: {value!r}") from None
-
-
-def _take_str(raw: RawConfig, section: str, key: str) -> str | None:
-    if section not in raw or key not in raw[section]:
-        return None
-    return raw[section][key][0]
-
-
-def _take_float_list(raw: RawConfig, section: str, key: str) -> tuple[float, ...] | None:
-    if section not in raw or key not in raw[section]:
-        return None
-    value, lineno = raw[section][key]
-    try:
-        items = tuple(float(part) for part in value.split())
-    except ValueError:
-        raise ConfigError(
-            f"{section}.{key} (line {lineno}): not a space-separated number list: {value!r}"
-        ) from None
-    if not items:
-        raise ConfigError(f"{section}.{key} (line {lineno}): empty list")
-    if not all(math.isfinite(x) for x in items):
-        raise ConfigError(f"{section}.{key} (line {lineno}): not all finite: {value!r}")
-    return items
-
-
-def _line_of(raw: RawConfig, section: str, key: str) -> int:
-    return raw[section][key][1]
-
-
-def _rapidity_from(raw: RawConfig, section: str, vel_key: str, alpha_key: str) -> Rapidity | None:
-    velocity = _take_float(raw, section, vel_key)
-    alpha = _take_float(raw, section, alpha_key)
+def _rapidity_from(raw: _Values, section: str, vel_key: str, alpha_key: str) -> Rapidity | None:
+    velocity = raw.get(section, vel_key)
+    alpha = raw.get(section, alpha_key)
     if velocity is not None and alpha is not None:
         raise ConfigError(f"{section}: give exactly one of {vel_key} or {alpha_key}")
     if velocity is not None:
         try:
             return rapidity_from_velocity(velocity)
         except LightlikeVelocityError as err:
-            raise ConfigError(
-                f"{section}.{vel_key} (line {_line_of(raw, section, vel_key)}): {err}"
-            ) from None
+            raw.check(False, section, vel_key, str(err))
     if alpha is not None:
         try:
             math.cosh(alpha)
         except OverflowError:
-            raise ConfigError(
-                f"{section}.{alpha_key} (line {_line_of(raw, section, alpha_key)}): "
-                f"cosh of rapidity {alpha!r} overflows"
-            ) from None
+            raw.check(False, section, alpha_key, f"cosh of rapidity {alpha!r} overflows")
         return Rapidity(alpha)
     return None
 
@@ -260,105 +252,69 @@ def load_config(
         text = Path(path).read_text()
     except OSError as err:
         raise ConfigError(f"cannot read config {path}: {err}") from None
-    raw = _parse_lines(text, str(path))
+    raw, echo = _parse_lines(text, str(path))
+    get, check = raw.get, raw.check
 
-    L = _take_float(raw, "model", "L")
-    m = _take_float(raw, "model", "m")
-    n_a = _take_int(raw, "model", "n_a")
-    n_b = _take_int(raw, "model", "n_b")
-    if not L > 0.0:
-        raise ConfigError(f"model.L (line {_line_of(raw, 'model', 'L')}): must be > 0")
-    if not m >= 0.0:
-        raise ConfigError(f"model.m (line {_line_of(raw, 'model', 'm')}): must be >= 0")
+    L, m, n_a, n_b = (get("model", key) for key in ("L", "m", "n_a", "n_b"))
+    check(L > 0.0, "model", "L", "must be > 0")
+    check(m >= 0.0, "model", "m", "must be >= 0")
     for key, n in (("n_a", n_a), ("n_b", n_b)):
-        if n < 1:
-            raise ConfigError(f"model.{key} (line {_line_of(raw, 'model', key)}): must be >= 1")
+        check(n >= 1, "model", key, "must be >= 1")
     model_boost = _rapidity_from(raw, "model", "boost_velocity", "boost_alpha")
 
-    q0 = ConfigPoint(
-        z1=_take_float(raw, "run", "z1"),
-        t1=_take_float(raw, "run", "t1"),
-        z2=_take_float(raw, "run", "z2"),
-        t2=_take_float(raw, "run", "t2"),
-    )
-    epsilon = _take_float(raw, "run", "epsilon")
-    n_steps = _take_int(raw, "run", "steps")
-    scheme = _take_str(raw, "run", "scheme") or "midpoint"
+    q0 = ConfigPoint(*(get("run", key) for key in ("z1", "t1", "z2", "t2")))
+    epsilon = get("run", "epsilon")
+    n_steps = get("run", "steps")
+    scheme = get("run", "scheme") or "midpoint"
     if scheme_override is not None:
         scheme = scheme_override
-    if not epsilon > 0.0:
-        raise ConfigError(f"run.epsilon (line {_line_of(raw, 'run', 'epsilon')}): must be > 0")
-    if n_steps < 1:
-        raise ConfigError(f"run.steps (line {_line_of(raw, 'run', 'steps')}): must be >= 1")
+        echo.append(f"override.scheme = {scheme_override}")
+    check(epsilon > 0.0, "run", "epsilon", "must be > 0")
+    check(n_steps >= 1, "run", "steps", "must be >= 1")
     if scheme not in SCHEMES:
         raise ConfigError(f"run.scheme: must be one of {', '.join(SCHEMES)}, got {scheme!r}")
 
     boost_rapidity = None
     epsilons = None
     total_proper_time = None
-    if "boost" in raw:
+    if "boost" in raw.sections:
         boost_rapidity = _rapidity_from(raw, "boost", "velocity", "alpha")
         if boost_rapidity is None:
             raise ConfigError("boost: needs velocity or alpha")
-        epsilons = _take_float_list(raw, "boost", "epsilons")
-        total_proper_time = _take_float(raw, "boost", "total_proper_time")
+        epsilons = get("boost", "epsilons")
+        total_proper_time = get("boost", "total_proper_time")
         if epsilons is not None:
             if total_proper_time is None:
                 raise ConfigError("boost.total_proper_time: required alongside boost.epsilons")
-            if not min(epsilons) > 0.0:
-                raise ConfigError(
-                    f"boost.epsilons (line {_line_of(raw, 'boost', 'epsilons')}): "
-                    "must all be > 0"
-                )
-            if not total_proper_time > 0.0:
-                raise ConfigError(
-                    f"boost.total_proper_time "
-                    f"(line {_line_of(raw, 'boost', 'total_proper_time')}): must be > 0"
-                )
-            if len(epsilons) < 3:
-                raise ConfigError(
-                    f"boost.epsilons (line {_line_of(raw, 'boost', 'epsilons')}): "
-                    "need at least 3 values"
-                )
-            if any(b >= a for a, b in zip(epsilons, epsilons[1:])):
-                raise ConfigError(
-                    f"boost.epsilons (line {_line_of(raw, 'boost', 'epsilons')}): "
-                    "must be strictly decreasing"
-                )
+            check(total_proper_time > 0.0, "boost", "total_proper_time", "must be > 0")
+            check(len(epsilons) >= 3, "boost", "epsilons", "need at least 3 values")
+            check(
+                all(b < a for a, b in zip(epsilons, epsilons[1:])),
+                "boost", "epsilons", "must be strictly decreasing",
+            )
             for e in epsilons:
                 try:
                     step_count(e, total_proper_time)
                 except ValueError as err:
-                    raise ConfigError(
-                        f"boost.epsilons (line {_line_of(raw, 'boost', 'epsilons')}): {err}"
-                    ) from None
+                    check(False, "boost", "epsilons", str(err))
 
     ensemble = None
-    if "ensemble" in raw:
-        count = _take_int(raw, "ensemble", "count")
-        weighting = _take_str(raw, "ensemble", "weighting") or "uniform"
-        seed = _take_int(raw, "ensemble", "seed")
+    if "ensemble" in raw.sections:
+        count = get("ensemble", "count")
+        weighting = get("ensemble", "weighting") or "uniform"
+        seed = get("ensemble", "seed") or 0
         if count is None or count < 1:
             raise ConfigError("ensemble.count: must be a positive integer")
         if weighting not in ("uniform", "eigenvalue"):
             raise ConfigError(
                 f"ensemble.weighting: must be uniform or eigenvalue, got {weighting!r}"
             )
-        if seed is None:
-            seed = 0
         if seed_override is not None:
             seed = seed_override
         if seed < 0:
             raise ConfigError("ensemble.seed: must be nonnegative")
         ensemble = EnsembleSpec(count=count, weighting=weighting, seed=seed)
 
-    echo = []
-    for section in ("model", "run", "boost", "ensemble"):
-        if section in raw:
-            for key in sorted(raw[section]):
-                echo.append(f"{section}.{key} = {raw[section][key][0]}")
-    if scheme_override is not None:
-        echo.append(f"override.scheme = {scheme_override}")
     if seed_override is not None:
         echo.append(f"override.seed = {seed_override}")
 
@@ -390,28 +346,28 @@ def build_model(cfg: RunConfig) -> WaveModel:
     return model
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
-
-
 def _writer(out_dir: Path):
     """write(name, text) into out_dir, creating the directory on the first
-    write; each file goes to a temp file that is then renamed over it."""
+    write; each file goes to a temp file that is then renamed over it.  An
+    ``OSError`` becomes a ``ConfigError`` naming the file."""
     made = False
 
     def write(name: str, text: str) -> None:
         nonlocal made
-        if not made:
-            out_dir.mkdir(parents=True, exist_ok=True)
-            made = True
-        fd, tmp = tempfile.mkstemp(dir=out_dir, prefix=name, suffix=".tmp")
         try:
-            with os.fdopen(fd, "w") as handle:
-                handle.write(text)
-            os.replace(tmp, out_dir / name)
-        except BaseException:
-            os.unlink(tmp)
-            raise
+            if not made:
+                out_dir.mkdir(parents=True, exist_ok=True)
+                made = True
+            fd, tmp = tempfile.mkstemp(dir=out_dir, prefix=name, suffix=".tmp")
+            try:
+                with os.fdopen(fd, "w") as handle:
+                    handle.write(text)
+                os.replace(tmp, out_dir / name)
+            except BaseException:
+                os.unlink(tmp)
+                raise
+        except OSError as err:
+            raise ConfigError(f"cannot write output {out_dir / name}: {err}") from None
 
     return write
 
@@ -424,16 +380,10 @@ def trajectory_csv(traj: Trajectory, cfg: RunConfig) -> str:
     lines = _echo_lines(cfg)
     lines.append(f"# termination = {traj.termination}")
     lines.append(CSV_HEADER)
+    row = ",".join(["%.17g"] * 9)
     for r in traj.records:
-        lines.append(
-            ",".join(
-                _fmt(x)
-                for x in (
-                    r.sigma, r.q.z1, r.q.t1, r.q.z2, r.q.t2,
-                    r.v1, r.v2, r.lambda1, r.lambda2,
-                )
-            )
-        )
+        q = r.q
+        lines.append(row % (r.sigma, q.z1, q.t1, q.z2, q.t2, r.v1, r.v2, r.lambda1, r.lambda2))
     return "\n".join(lines) + "\n"
 
 
@@ -532,30 +482,25 @@ def ensemble_summary_csv(
     lines.append(
         "member,z1_0,t1_0,z2_0,t2_0,termination,sigma_final,z1_f,t1_f,z2_f,t2_f"
     )
+    row = "%d,%.17g,%.17g,%.17g,%.17g,%s,%.17g,%.17g,%.17g,%.17g,%.17g"
     for k, (q0, traj) in enumerate(members):
         last = traj.records[-1]
-        lines.append(
-            ",".join(
-                [str(k)]
-                + [_fmt(x) for x in (q0.z1, q0.t1, q0.z2, q0.t2)]
-                + [traj.termination]
-                + [_fmt(x) for x in (last.sigma, last.q.z1, last.q.t1, last.q.z2, last.q.t2)]
-            )
-        )
+        q = last.q
+        lines.append(row % (
+            k, q0.z1, q0.t1, q0.z2, q0.t2, traj.termination, last.sigma, q.z1, q.t1, q.z2, q.t2
+        ))
     return "\n".join(lines) + "\n"
 
 
 def comparison_csv(comp, cfg: RunConfig) -> str:
     lines = _echo_lines(cfg)
-    lines.append(f"# alpha = {_fmt(comp.alpha.alpha)}")
-    lines.append(f"# max_deviation = {_fmt(comp.max_deviation)}")
+    lines.append("# alpha = %.17g" % comp.alpha.alpha)
+    lines.append("# max_deviation = %.17g" % comp.max_deviation)
     lines.append("step,sigma,dev1,dev2,deviation")
     for j, ((d1, d2), d) in enumerate(
         zip(comp.per_particle_deviation, comp.per_step_deviation)
     ):
-        lines.append(
-            f"{j},{_fmt(j * comp.epsilon)},{_fmt(d1)},{_fmt(d2)},{_fmt(d)}"
-        )
+        lines.append("%d,%.17g,%.17g,%.17g,%.17g" % (j, j * comp.epsilon, d1, d2, d))
     return "\n".join(lines) + "\n"
 
 
@@ -563,28 +508,12 @@ def convergence_csv(report, cfg: RunConfig) -> str:
     lines = _echo_lines(cfg)
     lines.append("epsilon,max_deviation")
     for e, d in zip(report.epsilons, report.deviations):
-        lines.append(f"{_fmt(e)},{_fmt(d)}")
+        lines.append("%.17g,%.17g" % (e, d))
     if report.fitted_order is None:
         lines.append("# fitted_order = n/a (deviations below rounding floor)")
     else:
-        lines.append(f"# fitted_order = {_fmt(report.fitted_order)}")
+        lines.append("# fitted_order = %.17g" % report.fitted_order)
     return "\n".join(lines) + "\n"
-
-
-def _exit_for_error(err: Exception) -> int:
-    if isinstance(err, ConfigError):
-        return EXIT_CONFIG
-    if isinstance(err, NodeProximityError):
-        return EXIT_NODE
-    if isinstance(err, BoundaryError):
-        return EXIT_BOUNDARY
-    if isinstance(err, ComparisonFailure):
-        return EXIT_COMPARISON
-    if isinstance(
-        err, (DegenerateFlowError, NoTimelikeFlowError, LightlikeVelocityError, SamplingError)
-    ):
-        return EXIT_DEGENERATE
-    raise err
 
 
 def cmd_simulate(cfg: RunConfig) -> int:
@@ -595,7 +524,7 @@ def cmd_simulate(cfg: RunConfig) -> int:
     write("trajectory.svg", emit_svg(traj))
     if not traj.completed:
         print(f"simulate: terminated early: {traj.termination}", file=sys.stderr)
-    return _TERMINATION_EXIT[traj.termination]
+    return traj.exit_code
 
 
 def cmd_ensemble(cfg: RunConfig) -> int:
@@ -610,12 +539,12 @@ def cmd_ensemble(cfg: RunConfig) -> int:
     trajectories = integrate(model, points, cfg.epsilon, cfg.n_steps, cfg.scheme)
     write = _writer(cfg.out_dir)
     members: list[tuple[ConfigPoint, Trajectory]] = []
-    exit_code = EXIT_OK
+    exit_code = 0
     for k, (q0, traj) in enumerate(zip(points, trajectories)):
         members.append((q0, traj))
         write(f"member_{k:03d}.csv", trajectory_csv(traj, cfg))
-        if exit_code == EXIT_OK and not traj.completed:
-            exit_code = _TERMINATION_EXIT[traj.termination]
+        if exit_code == 0 and not traj.completed:
+            exit_code = traj.exit_code
             print(
                 f"ensemble: member {k} terminated early: {traj.termination}",
                 file=sys.stderr,
@@ -636,7 +565,7 @@ def cmd_covariance(cfg: RunConfig) -> int:
             model, cfg.q0, cfg.boost, cfg.epsilons, cfg.total_proper_time, cfg.scheme
         )
         write("convergence.csv", convergence_csv(report, cfg))
-    return EXIT_OK
+    return 0
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -670,7 +599,7 @@ def main(argv: list[str] | None = None) -> int:
         return handlers[args.command](cfg)
     except (ConfigError, FlowError, ComparisonFailure, SamplingError) as err:
         print(f"{args.command}: {err}", file=sys.stderr)
-        return _exit_for_error(err)
+        return err.exit_code
 
 
 def console_entry() -> None:

@@ -112,8 +112,10 @@ def compare_frames(
 
 
 def step_count(epsilon: float, total_proper_time: float) -> int:
-    """round(T / epsilon), after checking epsilon divides T to rounding
-    accuracy; raises ValueError otherwise."""
+    """round(T / epsilon), after checking epsilon is positive and divides T
+    to rounding accuracy; raises ValueError otherwise."""
+    if not epsilon > 0.0:
+        raise ValueError(f"epsilon must be positive, got {epsilon!r}")
     n = round(total_proper_time / epsilon)
     if n < 1 or abs(n * epsilon - total_proper_time) > 1e-9 * total_proper_time:
         raise ValueError(

@@ -9,7 +9,8 @@ midpoint re-evaluates them at the half-step epsilon/2 before advancing.
 
 Evaluation failures (node proximity, degenerate eigenstructure, leaving
 the well) do not propagate out of ``integrate``; the partial trajectory is
-returned with a termination tag naming the cause.
+returned with a termination tag naming the cause, the ``tag`` of the
+error's class.
 
 The per-point chain runs on plain floats: ``log_ratios`` (domain guard,
 fields, node guard, log-gradient ratios), then ``tensor_entries`` and
@@ -53,20 +54,12 @@ from .wavefield import ConfigPoint, WaveModel, log_ratios
 Scheme = Literal["euler", "midpoint"]
 SCHEMES: tuple[str, ...] = ("euler", "midpoint")
 
-Termination = Literal["completed", "node_abort", "degenerate_abort", "boundary_abort"]
-TERMINATIONS: tuple[str, ...] = (
-    "completed",
-    "node_abort",
-    "degenerate_abort",
-    "boundary_abort",
-)
+# The error classes a run absorbs, each naming its termination tag; a
+# lockstep fault index is 1 + the position here (0 while running).
+_ABORTS = (NodeProximityError, FlowError, BoundaryError)
+TERMINATIONS: tuple[str, ...] = ("completed",) + tuple(err.tag for err in _ABORTS)
+_NODE, _DEGENERATE, _BOUNDARY = range(1, len(_ABORTS) + 1)
 
-_NODE, _DEGENERATE, _BOUNDARY = (
-    TERMINATIONS.index(tag) for tag in ("node_abort", "degenerate_abort", "boundary_abort")
-)
-
-DEFAULT_EPSILON = 0.01
-DEFAULT_STEPS = 500
 DEFAULT_SCHEME: Scheme = "midpoint"
 
 # Rejection sampling gives up after this many proposals per requested point.
@@ -101,19 +94,17 @@ class Trajectory:
     def completed(self) -> bool:
         return self.termination == "completed"
 
+    @property
+    def exit_code(self) -> int:
+        """0 when completed, else the ``exit_code`` of the error class whose
+        ``tag`` ended the run."""
+        if self.completed:
+            return 0
+        return _ABORTS[TERMINATIONS.index(self.termination) - 1].exit_code
+
     def configuration_array(self) -> np.ndarray:
         """(n_records, 4) array of (z1, t1, z2, t2) rows."""
         return np.array([[r.q.z1, r.q.t1, r.q.z2, r.q.t2] for r in self.records])
-
-
-def _abort_tag(err: FlowError) -> str:
-    if isinstance(err, NodeProximityError):
-        return "node_abort"
-    if isinstance(err, BoundaryError):
-        return "boundary_abort"
-    # Degenerate, missing-timelike and lightlike flows all mean the
-    # guidance law stopped defining a direction.
-    return "degenerate_abort"
 
 
 def _flow(p, r_t, r_z, m: float):
@@ -154,17 +145,11 @@ def _array_flows(model: WaveModel, z1, t1, z2, t2):
 
 
 def _displace(z1, t1, z2, t2, v1, v2, epsilon, d):
+    """(z1, t1, z2, t2) after each particle's null step of proper time
+    epsilon, forward (d = 1) or backward (d = -1); floats or arrays."""
     _, _, dt1, dz1 = null_step(v1, epsilon)
     _, _, dt2, dz2 = null_step(v2, epsilon)
     return z1 + d * dz1, t1 + d * dt1, z2 + d * dz2, t2 + d * dt2
-
-
-def _array_displace(z1, t1, z2, t2, v1, v2, epsilon):
-    """Forward ``_displace`` of arrays.  null_step's light-speed mask is
-    dropped: flow_entries has masked the same condition on v already."""
-    _, _, dt1, dz1, _ = null_step(v1, epsilon)
-    _, _, dt2, dz2, _ = null_step(v2, epsilon)
-    return z1 + dz1, t1 + dt1, z2 + dz2, t2 + dt2
 
 
 def _step_from(model, z1, t1, z2, t2, v1, v2, epsilon, scheme, direction):
@@ -222,7 +207,7 @@ def _integrate(
         except FlowError as err:
             if not records:
                 raise
-            termination = _abort_tag(err)
+            termination = err.tag
             break
         records.append(
             StepRecord(sigma=j * epsilon, q=q, v1=v1, v2=v2, lambda1=lam1, lambda2=lam2)
@@ -234,7 +219,7 @@ def _integrate(
                 model, z1, t1, z2, t2, v1, v2, epsilon, scheme, direction
             )
         except FlowError as err:
-            termination = _abort_tag(err)
+            termination = err.tag
             break
         q = ConfigPoint(z1, t1, z2, t2)
     return Trajectory(
@@ -267,10 +252,10 @@ def _lockstep(
             if j == n_steps or ended.all():
                 break
             if scheme == "midpoint":
-                half = _array_displace(z1, t1, z2, t2, v1, v2, 0.5 * epsilon)
+                half = _displace(z1, t1, z2, t2, v1, v2, 0.5 * epsilon, 1.0)
                 v1, _, v2, _, fault = _array_flows(model, *half)
                 ended = np.where(ended, ended, fault)
-            z1, t1, z2, t2 = _array_displace(z1, t1, z2, t2, v1, v2, epsilon)
+            z1, t1, z2, t2 = _displace(z1, t1, z2, t2, v1, v2, epsilon, 1.0)
     # [member, record, column], columns as in a StepRecord.
     table = np.array(rows).transpose(2, 0, 1)
     for q0, member, count, end in zip(starts, table, counts.tolist(), ended.tolist()):

@@ -13,7 +13,8 @@ velocity -tanh(a).  Null coordinates diagonalize it, picking up the factors
 e^{-a} (on v) and e^{+a} (on u).
 
 ``null_step`` also takes an array of velocities: numpy then runs the same
-expressions elementwise and the light-speed guard comes back as a mask.
+expressions elementwise, without the light-speed guard, which its array
+caller has already applied as a mask (``flow_entries``).
 """
 
 from __future__ import annotations
@@ -83,7 +84,7 @@ def _require_subluminal(v: float) -> None:
 
 def _rapidity(v, array: bool = False):
     """0.5 ln((1 + v) / (1 - v)); a float is held to the light-speed guard
-    first, an array is not (``null_step`` returns the guard as a mask)."""
+    first, an array is not (its caller masks the guard)."""
     if not array:
         _require_subluminal(v)
     return 0.5 * (np.log if array else math.log)((1.0 + v) / (1.0 - v))
@@ -111,9 +112,9 @@ def velocity_addition(v: float, u: float) -> float:
 def null_step(v, epsilon: float):
     """Float kernel of ``proper_step``: (du, dv, dt, dz), same guards.
 
-    An array of velocities goes through the same expressions elementwise
-    and returns (du, dv, dt, dz, beyond), where the mask ``beyond`` is True
-    wherever a float velocity would raise.
+    An array of velocities goes through the same expressions elementwise,
+    unguarded: entries at or beyond the light-speed guard give meaningless
+    steps, and the caller has masked them already.
     """
     if not epsilon > 0.0:
         raise ValueError(f"epsilon must be positive, got {epsilon!r}")
@@ -121,8 +122,7 @@ def null_step(v, epsilon: float):
     ea = (np.exp if array else math.exp)(_rapidity(v, array))
     dv = epsilon * ea
     du = epsilon / ea
-    step = du, dv, 0.5 * (du + dv), 0.5 * (dv - du)
-    return step + (~(abs(v) < VELOCITY_LIMIT),) if array else step
+    return du, dv, 0.5 * (du + dv), 0.5 * (dv - du)
 
 
 def proper_step(v: float, epsilon: float) -> tuple[NullStep, float, float]:

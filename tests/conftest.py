@@ -1,10 +1,23 @@
 import math
+import os
+from pathlib import Path
 
 import pytest
 
 import properflow as pf
 
 L = math.pi
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
+@pytest.fixture(scope="session", autouse=True)
+def subprocess_pythonpath():
+    """Child interpreters import properflow from src/ too, as pytest's
+    ``pythonpath`` setting makes this one do, installed or not."""
+    path = os.environ.get("PYTHONPATH")
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv("PYTHONPATH", SRC if not path else SRC + os.pathsep + path)
+        yield
 
 
 @pytest.fixture(scope="session")

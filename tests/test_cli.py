@@ -9,6 +9,7 @@ import pytest
 
 import properflow as pf
 from properflow import cli
+from properflow.integrator import TERMINATIONS
 
 L_LINE = "L = 3.141592653589793"
 SVG_NS = {"svg": "http://www.w3.org/2000/svg"}
@@ -303,6 +304,19 @@ def test_invalid_config_values(tmp_path, capsys, command, old, new):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("below", [False, True], ids=["out-is-a-file", "out-below-a-file"])
+def test_unwritable_out_is_a_config_error(tmp_path, capsys, below):
+    """An --out that cannot be a directory is a one-line error, exit 2."""
+    blocker = tmp_path / "blocker"
+    blocker.write_text("keep")
+    out = blocker / "sub" if below else blocker
+    assert cli.main(["simulate", "--config", _write(tmp_path, FIG1), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"simulate: cannot write output {out}")
+    assert err.count("\n") == 1
+    assert blocker.read_text() == "keep"
+
+
 def test_missing_blocks(tmp_path, capsys):
     cfg = _write(tmp_path, FIG1)
     out = tmp_path / "out"
@@ -328,15 +342,30 @@ def test_boundary_start_exit_code(tmp_path, capsys):
 
 
 def test_exit_code_tables():
-    assert cli._TERMINATION_EXIT == {
+    """Termination tags and exit codes come from the error classes."""
+    rec = pf.StepRecord(
+        sigma=0.0, q=pf.ConfigPoint(1.0, 0.0, 2.0, 0.0),
+        v1=0.0, v2=0.0, lambda1=1.0, lambda2=1.0,
+    )
+    exits = {
+        tag: pf.Trajectory(epsilon=0.01, scheme="midpoint", records=(rec,),
+                           termination=tag).exit_code
+        for tag in TERMINATIONS
+    }
+    assert exits == {
         "completed": 0, "node_abort": 3, "degenerate_abort": 4, "boundary_abort": 5,
     }
-    assert cli._exit_for_error(pf.NodeProximityError("x")) == 3
-    assert cli._exit_for_error(pf.DegenerateFlowError("x")) == 4
-    assert cli._exit_for_error(pf.LightlikeVelocityError("x")) == 4
-    assert cli._exit_for_error(pf.SamplingError("x")) == 4
-    assert cli._exit_for_error(pf.BoundaryError("x")) == 5
-    assert cli._exit_for_error(pf.ComparisonFailure("x")) == 6
+    aborts = (pf.NodeProximityError, pf.FlowError, pf.BoundaryError)
+    assert [(e.tag, e.exit_code) for e in aborts] == [
+        ("node_abort", 3), ("degenerate_abort", 4), ("boundary_abort", 5),
+    ]
+    assert pf.NodeProximityError("x").exit_code == 3
+    assert pf.DegenerateFlowError("x").exit_code == 4
+    assert pf.LightlikeVelocityError("x").exit_code == 4
+    assert pf.SamplingError("x").exit_code == 4
+    assert pf.BoundaryError("x").exit_code == 5
+    assert pf.ComparisonFailure("x").exit_code == 6
+    assert cli.ConfigError("x").exit_code == 2
 
 
 def test_console_script_wiring(tmp_path):

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 import properflow as pf
+from properflow.covariance import step_count
 from properflow.errors import ComparisonFailure
 
 L = math.pi
@@ -155,3 +156,12 @@ def test_convergence_study_validation(model, moving_point):
         pf.convergence_study(model, moving_point, BOOST, (0.02, 0.01, 0.003), 2.0)
     with pytest.raises(ValueError):
         pf.convergence_study(model, moving_point, BOOST, (0.02, 0.01, 0.005), -1.0)
+
+
+def test_nonpositive_epsilon_is_rejected(model, moving_point):
+    """A zero or negative epsilon is a ValueError, not a division by zero."""
+    for epsilons in ((0.02, 0.01, 0.0), (0.02, 0.01, -0.01)):
+        with pytest.raises(ValueError, match="epsilon must be positive"):
+            pf.convergence_study(model, moving_point, BOOST, epsilons, 2.0)
+    with pytest.raises(ValueError, match="epsilon must be positive"):
+        step_count(0.0, 2.0)
