@@ -48,7 +48,6 @@ import sys
 import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
-from xml.etree import ElementTree as ET
 
 from .errors import ComparisonFailure, FlowError, LightlikeVelocityError, SamplingError
 from .minkowski import Rapidity, rapidity_from_velocity
@@ -260,6 +259,13 @@ def load_config(
     check(m >= 0.0, "model", "m", "must be >= 0")
     for key, n in (("n_a", n_a), ("n_b", n_b)):
         check(n >= 1, "model", key, "must be >= 1")
+        # A mode frequency that overflows is blamed on the first of L, n, m
+        # with which it overflows while the later ones are at their mildest.
+        for blame, args in (("L", (1, L, 0.0)), (key, (n, L, 0.0)), ("m", (n, L, m))):
+            try:
+                box_mode(*args)
+            except ValueError as err:
+                check(False, "model", blame, str(err))
     model_boost = _rapidity_from(raw, "model", "boost_velocity", "boost_alpha")
 
     q0 = ConfigPoint(*(get("run", key) for key in ("z1", "t1", "z2", "t2")))
@@ -271,8 +277,10 @@ def load_config(
         echo.append(f"override.scheme = {scheme_override}")
     check(epsilon > 0.0, "run", "epsilon", "must be > 0")
     check(n_steps >= 1, "run", "steps", "must be >= 1")
-    if scheme not in SCHEMES:
-        raise ConfigError(f"run.scheme: must be one of {', '.join(SCHEMES)}, got {scheme!r}")
+    bad_scheme = f"must be one of {', '.join(SCHEMES)}, got {scheme!r}"
+    if scheme_override is not None and scheme not in SCHEMES:
+        raise ConfigError(f"--scheme: {bad_scheme}")
+    check(scheme in SCHEMES, "run", "scheme", bad_scheme)
 
     boost_rapidity = None
     epsilons = None
@@ -303,16 +311,18 @@ def load_config(
         count = get("ensemble", "count")
         weighting = get("ensemble", "weighting") or "uniform"
         seed = get("ensemble", "seed") or 0
-        if count is None or count < 1:
-            raise ConfigError("ensemble.count: must be a positive integer")
-        if weighting not in ("uniform", "eigenvalue"):
-            raise ConfigError(
-                f"ensemble.weighting: must be uniform or eigenvalue, got {weighting!r}"
-            )
+        if count is None:
+            raise ConfigError("ensemble.count: required in an [ensemble] section")
+        check(count >= 1, "ensemble", "count", "must be a positive integer")
+        check(
+            weighting in ("uniform", "eigenvalue"),
+            "ensemble", "weighting", f"must be uniform or eigenvalue, got {weighting!r}",
+        )
         if seed_override is not None:
+            if seed_override < 0:
+                raise ConfigError(f"--seed: must be nonnegative, got {seed_override!r}")
             seed = seed_override
-        if seed < 0:
-            raise ConfigError("ensemble.seed: must be nonnegative")
+        check(seed >= 0, "ensemble", "seed", "must be nonnegative")
         ensemble = EnsembleSpec(count=count, weighting=weighting, seed=seed)
 
     if seed_override is not None:
@@ -404,19 +414,12 @@ def emit_svg(traj: Trajectory, spec: PlotSpec | None = None) -> str:
     n_panels = len(spec.particles)
     panel_w = (spec.width - margin * (n_panels + 1)) / n_panels
     panel_h = spec.height - 2 * margin
-    root = ET.Element(
-        "svg",
-        {
-            "xmlns": "http://www.w3.org/2000/svg",
-            "width": str(spec.width),
-            "height": str(spec.height),
-            "viewBox": f"0 0 {spec.width} {spec.height}",
-        },
-    )
-    ET.SubElement(root, "rect", {
-        "x": "0", "y": "0", "width": str(spec.width), "height": str(spec.height),
-        "fill": "white",
-    })
+    w, h = spec.width, spec.height
+    parts = [
+        '<?xml version="1.0" encoding="UTF-8"?>\n'
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{w}" height="{h}" viewBox="0 0 {w} {h}">'
+        f'<rect x="0" y="0" width="{w}" height="{h}" fill="white" />'
+    ]
     for panel, particle in enumerate(spec.particles):
         ts, zs = zip(*(r.q.particle(particle) for r in traj.records))
         x0 = margin + panel * (panel_w + margin)
@@ -436,43 +439,28 @@ def emit_svg(traj: Trajectory, spec: PlotSpec | None = None) -> str:
         def sy(t):
             return y0 + panel_h - (t - t_lo) / (t_hi - t_lo) * panel_h
 
-        ET.SubElement(root, "rect", {
-            "x": f"{x0:.2f}", "y": f"{y0:.2f}",
-            "width": f"{panel_w:.2f}", "height": f"{panel_h:.2f}",
-            "fill": "none", "stroke": "#333333", "stroke-width": "1",
-        })
-        title = ET.SubElement(root, "text", {
-            "x": f"{x0 + panel_w / 2:.2f}", "y": f"{y0 - 12:.2f}",
-            "text-anchor": "middle", "font-size": "14", "fill": "#333333",
-        })
-        title.text = f"particle {particle}"
-        x_label = ET.SubElement(root, "text", {
-            "x": f"{x0 + panel_w / 2:.2f}", "y": f"{y0 + panel_h + 32:.2f}",
-            "text-anchor": "middle", "font-size": "12", "fill": "#333333",
-        })
-        x_label.text = "z"
-        y_label = ET.SubElement(root, "text", {
-            "x": f"{x0 - 28:.2f}", "y": f"{y0 + panel_h / 2:.2f}",
-            "text-anchor": "middle", "font-size": "12", "fill": "#333333",
-        })
-        y_label.text = "t"
+        axis = 'text-anchor="middle" font-size="12" fill="#333333"'
+        parts.append(
+            f'<rect x="{x0:.2f}" y="{y0:.2f}" width="{panel_w:.2f}" height="{panel_h:.2f}" '
+            'fill="none" stroke="#333333" stroke-width="1" />'
+            f'<text x="{x0 + panel_w / 2:.2f}" y="{y0 - 12:.2f}" text-anchor="middle" '
+            f'font-size="14" fill="#333333">particle {particle}</text>'
+            f'<text x="{x0 + panel_w / 2:.2f}" y="{y0 + panel_h + 32:.2f}" {axis}>z</text>'
+            f'<text x="{x0 - 28:.2f}" y="{y0 + panel_h / 2:.2f}" {axis}>t</text>'
+        )
         if len(traj.records) > 1:
             pts = " ".join(f"{sx(z):.3f},{sy(t):.3f}" for z, t in zip(zs, ts))
-            ET.SubElement(root, "polyline", {
-                "points": pts, "fill": "none",
-                "stroke": "#1f5fa8", "stroke-width": "1.5",
-            })
+            parts.append(
+                f'<polyline points="{pts}" fill="none" stroke="#1f5fa8" stroke-width="1.5" />'
+            )
         for j in range(0, len(traj.records), spec.label_stride):
-            ET.SubElement(root, "circle", {
-                "cx": f"{sx(zs[j]):.3f}", "cy": f"{sy(ts[j]):.3f}",
-                "r": "2.2", "fill": "#b03030",
-            })
-            label = ET.SubElement(root, "text", {
-                "x": f"{sx(zs[j]) + 5:.3f}", "y": f"{sy(ts[j]) - 4:.3f}",
-                "font-size": "10", "fill": "#b03030",
-            })
-            label.text = str(j)
-    return '<?xml version="1.0" encoding="UTF-8"?>\n' + ET.tostring(root, encoding="unicode") + "\n"
+            x, y = sx(zs[j]), sy(ts[j])
+            parts.append(
+                f'<circle cx="{x:.3f}" cy="{y:.3f}" r="2.2" fill="#b03030" />'
+                f'<text x="{x + 5:.3f}" y="{y - 4:.3f}" font-size="10" fill="#b03030">{j}</text>'
+            )
+    parts.append("</svg>\n")
+    return "".join(parts)
 
 
 def ensemble_summary_csv(

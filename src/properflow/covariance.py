@@ -22,8 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
+from ._numpy import np
 from .errors import ComparisonFailure
 from .minkowski import FourVector, Rapidity, boost
 from .wavefield import ConfigPoint, WaveModel, boosted

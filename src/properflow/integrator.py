@@ -39,8 +39,7 @@ from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from typing import Literal
 
-import numpy as np
-
+from ._numpy import np
 from .errors import (
     BoundaryError,
     FlowError,

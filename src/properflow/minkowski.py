@@ -22,8 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
+from ._numpy import np
 from .errors import LightlikeVelocityError
 
 # Flows this close to the light cone are rejected rather than clamped; a

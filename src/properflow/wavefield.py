@@ -28,8 +28,7 @@ import math
 from dataclasses import astuple, dataclass, replace
 from types import SimpleNamespace
 
-import numpy as np
-
+from ._numpy import np
 from .errors import BoundaryError, NodeProximityError
 from .minkowski import Rapidity
 
@@ -121,14 +120,24 @@ class BoxMode:
 
 
 def box_mode(n: int, L: float, m: float, frequency: float | None = None) -> BoxMode:
-    """Stationary well mode with omega_n = sqrt((n pi / L)**2 + m**2)."""
+    """Stationary well mode with omega_n = sqrt((n pi / L)**2 + m**2).
+
+    Raises ValueError for an invalid n, L or m, and when n pi / L or omega
+    is not a finite float.
+    """
     if not (isinstance(n, int) and n >= 1):
         raise ValueError(f"mode index must be a positive integer, got {n!r}")
     if not L > 0.0:
         raise ValueError(f"well width must be positive, got {L!r}")
     if not m >= 0.0:
         raise ValueError(f"mass must be nonnegative, got {m!r}")
-    omega = math.sqrt((n * math.pi / L) ** 2 + m * m) if frequency is None else float(frequency)
+    try:
+        k = n * math.pi / L
+        omega = math.sqrt(k**2 + m * m) if frequency is None else float(frequency)
+    except OverflowError:
+        k = omega = math.inf
+    if not (math.isfinite(k) and math.isfinite(omega)):
+        raise ValueError("mode frequency overflows: n pi / L or omega is not finite")
     return BoxMode(n=n, L=L, m=m, omega=omega)
 
 

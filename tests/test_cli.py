@@ -3,6 +3,7 @@
 import math
 import subprocess
 import sys
+from pathlib import Path
 from xml.etree import ElementTree as ET
 
 import pytest
@@ -286,21 +287,39 @@ def test_config_errors(tmp_path, capsys):
         ("covariance", "velocity = 0.3", "alpha = nan"),
         ("simulate", "epsilon = 0.01", "epsilon = inf"),
         ("covariance", "epsilons = 0.02 0.01 0.005", "epsilons = 0.02 0.01 0.003"),
+        ("simulate", L_LINE, "L = 1e-160"),
+        ("simulate", "n_a = 1", "n_a = 1" + "0" * 400),
+        ("simulate", "m = 1.0", "m = 1e300"),
+        ("ensemble", "count = 6", "count = 0"),
+        ("ensemble", "weighting = eigenvalue", "weighting = gaussian"),
+        ("ensemble", "seed = 11", "seed = -1"),
+        ("simulate", "scheme = midpoint", "scheme = rk4"),
     ],
     ids=["alpha-overflow", "model-alpha-overflow", "infinite-proper-time",
          "zero-epsilon", "velocity-at-guard", "nan-alpha", "infinite-epsilon",
-         "epsilon-not-dividing"],
+         "epsilon-not-dividing", "wave-number-overflow", "mode-index-overflow",
+         "mass-overflow", "zero-count", "unknown-weighting", "negative-seed",
+         "unknown-scheme"],
 )
 def test_invalid_config_values(tmp_path, capsys, command, old, new):
     """Out-of-range numbers are config errors naming their key and line."""
-    text = (FIG2 + BOOST_BLOCK).replace(old, new)
+    text = (FIG2 + BOOST_BLOCK + ENSEMBLE_BLOCK).replace(old, new)
+    lines = text.splitlines()
     bad = new.splitlines()[-1]
-    lineno = text.splitlines().index(bad) + 1
-    section = "model" if "boost_alpha" in bad else "run" if command == "simulate" else "boost"
+    lineno = lines.index(bad) + 1
+    section = next(l for l in reversed(lines[:lineno]) if l.startswith("["))[1:-1]
     key = f"{section}.{bad.split(' = ')[0]}"
     out = tmp_path / "out"
     assert cli.main([command, "--config", _write(tmp_path, text), "--out", str(out)]) == 2
     assert f"{key} (line {lineno})" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_negative_seed_override_names_the_flag(tmp_path, capsys):
+    cfg = _write(tmp_path, FIG2 + ENSEMBLE_BLOCK)
+    out = tmp_path / "out"
+    assert cli.main(["ensemble", "--config", cfg, "--out", str(out), "--seed", "-1"]) == 2
+    assert capsys.readouterr().err == "ensemble: --seed: must be nonnegative, got -1\n"
     assert not out.exists()
 
 
@@ -366,6 +385,35 @@ def test_exit_code_tables():
     assert pf.BoundaryError("x").exit_code == 5
     assert pf.ComparisonFailure("x").exit_code == 6
     assert cli.ConfigError("x").exit_code == 2
+
+
+FIG2_CFG = str(Path(__file__).resolve().parents[1] / "configs" / "fig2.cfg")
+
+STARTUP_SCRIPT = """
+import sys
+from properflow import cli
+
+cfg, out = sys.argv[1:]
+for command in ("simulate", "covariance"):
+    assert cli.main([command, "--config", cfg, "--out", f"{out}/{command}"]) == 0
+print(*[m for m in ("numpy", "xml.etree.ElementTree") if m in sys.modules] or ["-"])
+sys.exit(cli.main(["ensemble", "--config", cfg, "--out", f"{out}/ensemble"]))
+"""
+
+
+def test_fresh_interpreter_imports_numpy_only_for_the_ensemble(tmp_path):
+    """simulate and covariance on fig2 import neither numpy nor an XML
+    library; an ensemble in the same interpreter then loads numpy on first
+    use and writes what an in-process run writes."""
+    proc = subprocess.run(
+        [sys.executable, "-c", STARTUP_SCRIPT, FIG2_CFG, str(tmp_path / "cold")],
+        capture_output=True, text=True,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "-\n", "")
+    out = tmp_path / "warm"
+    assert cli.main(["ensemble", "--config", FIG2_CFG, "--out", str(out)]) == 0
+    summary = (tmp_path / "cold" / "ensemble" / "summary.csv").read_bytes()
+    assert summary == (out / "summary.csv").read_bytes()
 
 
 def test_console_script_wiring(tmp_path):
