@@ -52,7 +52,7 @@ from pathlib import Path
 from .errors import ComparisonFailure, FlowError, LightlikeVelocityError, SamplingError
 from .minkowski import Rapidity, rapidity_from_velocity
 from .wavefield import ConfigPoint, WaveModel, boosted, box_mode, entangled_pair
-from .integrator import SCHEMES, Trajectory, integrate, sample_hyperplane
+from .integrator import DEFAULT_SCHEME, SCHEMES, Trajectory, integrate, sample_hyperplane
 from .covariance import compare_frames, convergence_study, step_count
 
 CSV_HEADER = "sigma,z1,t1,z2,t2,v1,v2,lambda1,lambda2"
@@ -271,7 +271,7 @@ def load_config(
     q0 = ConfigPoint(*(get("run", key) for key in ("z1", "t1", "z2", "t2")))
     epsilon = get("run", "epsilon")
     n_steps = get("run", "steps")
-    scheme = get("run", "scheme") or "midpoint"
+    scheme = get("run", "scheme") or DEFAULT_SCHEME
     if scheme_override is not None:
         scheme = scheme_override
         echo.append(f"override.scheme = {scheme_override}")
@@ -408,6 +408,8 @@ def emit_svg(traj: Trajectory, spec: PlotSpec | None = None) -> str:
     spec = spec or PlotSpec()
     if spec.label_stride < 1:
         raise ValueError(f"label_stride must be >= 1, got {spec.label_stride!r}")
+    if not spec.particles:
+        raise ValueError("cannot plot without a particle panel")
     if not traj.records:
         raise ValueError("cannot plot an empty trajectory")
     margin = 54.0

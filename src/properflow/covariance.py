@@ -26,7 +26,7 @@ from ._numpy import np
 from .errors import ComparisonFailure
 from .minkowski import FourVector, Rapidity, boost
 from .wavefield import ConfigPoint, WaveModel, boosted
-from .integrator import Scheme, Trajectory, integrate
+from .integrator import DEFAULT_SCHEME, Scheme, Trajectory, integrate
 
 # Deviations below this are rounding noise; no order is fitted to them.
 DEVIATION_FLOOR = 1e-12
@@ -71,7 +71,7 @@ def compare_frames(
     alpha: Rapidity,
     epsilon: float,
     n_steps: int,
-    scheme: Scheme = "midpoint",
+    scheme: Scheme = DEFAULT_SCHEME,
 ) -> FrameComparison:
     """Integrate in both frames and report step-aligned deviations.
 
@@ -129,7 +129,7 @@ def convergence_study(
     alpha: Rapidity,
     epsilons: list[float] | tuple[float, ...],
     total_proper_time: float,
-    scheme: Scheme = "midpoint",
+    scheme: Scheme = DEFAULT_SCHEME,
 ) -> ConvergenceReport:
     """Fit the frame-deviation order over a strictly decreasing epsilon list.
 

@@ -17,19 +17,25 @@ fields, node guard, log-gradient ratios), then ``tensor_entries`` and
 ``flow_entries`` per particle, and ``null_step`` per displacement.  These
 float kernels are the bodies of the public ``log_derivatives``,
 ``assemble``, ``eigenflows`` and ``proper_step``, which wrap their tuples
-in value objects, so both routes give the same bits.  The loop carries
-(z1, t1, z2, t2) as floats and builds a ``ConfigPoint`` only for each
-``StepRecord`` and for error messages.
+in value objects, so both routes give the same bits.
 
 An ensemble runs in lockstep: ``integrate`` given a sequence of starts
 instead of one ``ConfigPoint`` steps every member at once as numpy arrays
 through the same kernels, which choose their path by input type.  There
 each guard is a mask instead of an exception; a member stops recording
 at its first fault, tagged by the guard the float chain would have met
-first (domain, node, particle 1's flow, particle 2's flow).  Each
-``Trajectory`` is built from the arrays once, at the end, and agrees with
-a single-start run to rounding.  The sampler's eigenvalue weights come
-from the same array kernels.
+first (domain, node, particle 1's flow, particle 2's flow), and agrees
+with a single-start run to rounding.  The sampler's eigenvalue weights
+come from the same array kernels.
+
+Both loops share one step and one record builder.  ``_advance`` holds
+the midpoint stage and the displacement for floats and arrays alike.  A
+step that leaves the well is caught, in both loops, by the domain guard
+of the next evaluation, which ends the run with ``boundary_abort`` after
+the last point inside; only the public ``step``, which evaluates nothing
+after it, checks the point it reaches itself.  Each loop appends rows
+(z1, t1, z2, t2, v1, v2, lambda1, lambda2), and ``_trajectory`` builds
+the ``StepRecord``s from them once, at the end.
 """
 
 from __future__ import annotations
@@ -113,12 +119,13 @@ def _flow(p, r_t, r_z, m: float):
 
 
 def _flows(model: WaveModel, z1: float, t1: float, z2: float, t2: float):
-    """(v1, lambda1, v2, lambda2) at one configuration point."""
+    """(v1, lambda1, v2, lambda2, 0) at one configuration point; the 0
+    stands for ``_array_flows``' fault, as a float guard raises instead."""
     _, p, r1t, r1z, r2t, r2z = log_ratios(model, z1, t1, z2, t2)
     m = model.mass
     lam1, _, v1 = _flow(p, r1t, r1z, m)
     lam2, _, v2 = _flow(p, r2t, r2z, m)
-    return v1, lam1, v2, lam2
+    return v1, lam1, v2, lam2, 0
 
 
 def _array_flows(model: WaveModel, z1, t1, z2, t2):
@@ -143,23 +150,36 @@ def _array_flows(model: WaveModel, z1, t1, z2, t2):
     return v[:n], lam[:n], v[n:], lam[n:], fault
 
 
-def _displace(z1, t1, z2, t2, v1, v2, epsilon, d):
-    """(z1, t1, z2, t2) after each particle's null step of proper time
+def _displace(q, v1, v2, epsilon, d):
+    """q = (z1, t1, z2, t2) after each particle's null step of proper time
     epsilon, forward (d = 1) or backward (d = -1); floats or arrays."""
+    z1, t1, z2, t2 = q
     _, _, dt1, dz1 = null_step(v1, epsilon)
     _, _, dt2, dz2 = null_step(v2, epsilon)
     return z1 + d * dz1, t1 + d * dt1, z2 + d * dz2, t2 + d * dt2
 
 
-def _step_from(model, z1, t1, z2, t2, v1, v2, epsilon, scheme, direction):
-    """Configuration (z1, t1, z2, t2) one step on from the given point."""
-    d = float(direction)
+def _advance(flows, model, q, v1, v2, epsilon, scheme, d):
+    """(q one step on, midpoint stage's fault) from q = (z1, t1, z2, t2) with
+    velocities v1, v2 there; flows is ``_flows`` or ``_array_flows``.
+
+    euler steps along v1, v2; midpoint along the velocities at the half
+    step, whose evaluation gives the fault (always 0 for euler).
+    """
+    fault = 0
     if scheme == "midpoint":
-        v1, _, v2, _ = _flows(model, *_displace(z1, t1, z2, t2, v1, v2, 0.5 * epsilon, d))
-    z1, t1, z2, t2 = _displace(z1, t1, z2, t2, v1, v2, epsilon, d)
-    if not model.contains(z1, t1, z2, t2):
-        raise BoundaryError(f"step left the well region at {ConfigPoint(z1, t1, z2, t2)}")
-    return z1, t1, z2, t2
+        v1, _, v2, _, fault = flows(model, *_displace(q, v1, v2, 0.5 * epsilon, d))
+    return _displace(q, v1, v2, epsilon, d), fault
+
+
+def _trajectory(rows, epsilon: float, scheme: str, end: str) -> Trajectory:
+    """Trajectory from rows (z1, t1, z2, t2, v1, v2, lambda1, lambda2), the
+    j-th at sigma = j * epsilon, ended by the termination tag end."""
+    records = tuple(
+        StepRecord(j * epsilon, ConfigPoint(z1, t1, z2, t2), v1, v2, lam1, lam2)
+        for j, (z1, t1, z2, t2, v1, v2, lam1, lam2) in enumerate(rows)
+    )
+    return Trajectory(epsilon=epsilon, scheme=scheme, records=records, termination=end)
 
 
 def _check_run_args(epsilon: float, n_steps: int, scheme: str) -> None:
@@ -182,48 +202,34 @@ def step(
     _check_run_args(epsilon, 1, scheme)
     if direction not in (1, -1):
         raise ValueError(f"direction must be +1 or -1, got {direction!r}")
-    v1, _, v2, _ = _flows(model, q.z1, q.t1, q.z2, q.t2)
-    return ConfigPoint(
-        *_step_from(model, q.z1, q.t1, q.z2, q.t2, v1, v2, epsilon, scheme, direction)
-    )
+    start = (q.z1, q.t1, q.z2, q.t2)
+    v1, _, v2, _, _ = _flows(model, *start)
+    reached, _ = _advance(_flows, model, start, v1, v2, epsilon, scheme, float(direction))
+    if not model.contains(*reached):
+        raise BoundaryError(f"step left the well region at {ConfigPoint(*reached)}")
+    return ConfigPoint(*reached)
 
 
 def _integrate(
-    model: WaveModel,
-    q0: ConfigPoint,
-    epsilon: float,
-    n_steps: int,
-    scheme: str,
-    direction: int,
+    model: WaveModel, q0: ConfigPoint, epsilon: float, n_steps: int, scheme: str, direction: int
 ) -> Trajectory:
-    records: list[StepRecord] = []
-    termination = "completed"
-    q = q0
-    z1, t1, z2, t2 = q0.z1, q0.t1, q0.z2, q0.t2
+    rows = []
+    end = "completed"
+    q = (q0.z1, q0.t1, q0.z2, q0.t2)
+    d = float(direction)
     for j in range(n_steps + 1):
         try:
-            v1, lam1, v2, lam2 = _flows(model, z1, t1, z2, t2)
+            v1, lam1, v2, lam2, _ = _flows(model, *q)
+            rows.append(q + (v1, v2, lam1, lam2))
+            if j == n_steps:
+                break
+            q, _ = _advance(_flows, model, q, v1, v2, epsilon, scheme, d)
         except FlowError as err:
-            if not records:
+            if not rows:
                 raise
-            termination = err.tag
+            end = err.tag
             break
-        records.append(
-            StepRecord(sigma=j * epsilon, q=q, v1=v1, v2=v2, lambda1=lam1, lambda2=lam2)
-        )
-        if j == n_steps:
-            break
-        try:
-            z1, t1, z2, t2 = _step_from(
-                model, z1, t1, z2, t2, v1, v2, epsilon, scheme, direction
-            )
-        except FlowError as err:
-            termination = err.tag
-            break
-        q = ConfigPoint(z1, t1, z2, t2)
-    return Trajectory(
-        epsilon=epsilon, scheme=scheme, records=tuple(records), termination=termination
-    )
+    return _trajectory(rows, epsilon, scheme, end)
 
 
 def _lockstep(
@@ -232,43 +238,32 @@ def _lockstep(
     """Step every start together as numpy arrays, then yield trajectories.
 
     A member stops recording at its first fault; its entries are still
-    computed, and ignored, so the arrays keep one shape.  A step that
-    leaves the well is caught by the domain guard of the next evaluation,
-    which gives the tag and records of the float chain's post-step check.
+    computed, and ignored, so the arrays keep one shape.
     """
-    z1, t1, z2, t2 = np.array(
-        [(q.z1, q.t1, q.z2, q.t2) for q in starts], dtype=float
-    ).reshape(-1, 4).T.copy()
+    q = tuple(
+        np.array([(s.z1, s.t1, s.z2, s.t2) for s in starts], dtype=float).reshape(-1, 4).T.copy()
+    )
     ended = np.zeros(len(starts), dtype=np.intp)  # TERMINATIONS index, 0 while running
     counts = np.zeros(len(starts), dtype=np.intp)
     rows = []
     with np.errstate(all="ignore"):
         for j in range(n_steps + 1):
-            v1, lam1, v2, lam2, fault = _array_flows(model, z1, t1, z2, t2)
+            v1, lam1, v2, lam2, fault = _array_flows(model, *q)
             ended = np.where(ended, ended, fault)
             counts += ended == 0
-            rows.append((z1, t1, z2, t2, v1, v2, lam1, lam2))
+            rows.append(q + (v1, v2, lam1, lam2))
             if j == n_steps or ended.all():
                 break
-            if scheme == "midpoint":
-                half = _displace(z1, t1, z2, t2, v1, v2, 0.5 * epsilon, 1.0)
-                v1, _, v2, _, fault = _array_flows(model, *half)
-                ended = np.where(ended, ended, fault)
-            z1, t1, z2, t2 = _displace(z1, t1, z2, t2, v1, v2, epsilon, 1.0)
-    # [member, record, column], columns as in a StepRecord.
+            q, fault = _advance(_array_flows, model, q, v1, v2, epsilon, scheme, 1.0)
+            ended = np.where(ended, ended, fault)
+    # [member, record, column], columns as in a row of _trajectory.
     table = np.array(rows).transpose(2, 0, 1)
     for q0, member, count, end in zip(starts, table, counts.tolist(), ended.tolist()):
         if count == 0:
             # The start itself fails: the float chain raises its error.
             yield _integrate(model, q0, epsilon, n_steps, scheme, direction=1)
             continue
-        records = tuple(
-            StepRecord(j * epsilon, ConfigPoint(z1, t1, z2, t2), v1, v2, lam1, lam2)
-            for j, (z1, t1, z2, t2, v1, v2, lam1, lam2) in enumerate(member[:count].tolist())
-        )
-        yield Trajectory(
-            epsilon=epsilon, scheme=scheme, records=records, termination=TERMINATIONS[end]
-        )
+        yield _trajectory(member[:count].tolist(), epsilon, scheme, TERMINATIONS[end])
 
 
 def integrate(

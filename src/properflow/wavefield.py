@@ -249,7 +249,7 @@ class LoneState(WaveModel):
     def fields(self, z1, t1, z2, t2):
         z, t = (z1, t1) if self.particle == 1 else (z2, t2)
         val, d_t, d_z = self.state.value_and_grads(z, t)
-        zero = np.zeros_like(val)
+        zero = 0j if isinstance(val, complex) else np.zeros_like(val)
         if self.particle == 1:
             return val, d_t, d_z, zero, zero
         return val, zero, zero, d_t, d_z
@@ -258,6 +258,8 @@ class LoneState(WaveModel):
         L = self.well_width
         z = z1 if self.particle == 1 else z2
         inside = (z > 0.0) & (z < L)
+        if isinstance(inside, bool):
+            return inside and math.isfinite(z1 + z2 + t1 + t2)
         # Keep broadcasting against the unused coordinates.
         return inside & np.isfinite(z1 + z2 + t1 + t2)
 
@@ -412,7 +414,9 @@ def kg_residual(model: WaveModel, q: ConfigPoint, i: int, h: float) -> complex:
     """
     if not h > 0.0:
         raise ValueError(f"step h must be positive, got {h!r}")
-    idx = {1: (2, 3), 2: (4, 5)}[i]
+    if i not in (1, 2):
+        raise ValueError(f"particle index must be 1 or 2, got {i!r}")
+    idx = (2, 3) if i == 1 else (4, 5)
     psi = _checked_fields(model, *astuple(q))[1]
     f_tp = _checked_fields(model, *astuple(shift_particle(q, i, dt=+h)))[idx[0]]
     f_tm = _checked_fields(model, *astuple(shift_particle(q, i, dt=-h)))[idx[0]]

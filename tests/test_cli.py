@@ -157,6 +157,12 @@ def test_svg_rejects_bad_stride(model, rest_point):
         cli.emit_svg(traj, cli.PlotSpec(label_stride=0))
 
 
+def test_svg_rejects_empty_panel_list(model, rest_point):
+    traj = pf.integrate(model, rest_point, 0.01, 2, "midpoint")
+    with pytest.raises(ValueError, match="particle panel"):
+        cli.emit_svg(traj, cli.PlotSpec(particles=()))
+
+
 def test_ensemble_outputs(tmp_path):
     cfg = _write(tmp_path, FIG2 + ENSEMBLE_BLOCK)
     out = tmp_path / "out"

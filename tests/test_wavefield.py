@@ -6,6 +6,8 @@ differences of the analytic state), then pinned here as literals.
 """
 
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -182,6 +184,12 @@ def test_kg_residual_rejects_bad_step(model, probe_point):
         pf.kg_residual(model, probe_point, 1, 0.0)
 
 
+def test_kg_residual_rejects_bad_particle_index(model, probe_point):
+    for i in (0, 3):
+        with pytest.raises(ValueError, match=f"particle index must be 1 or 2, got {i}"):
+            pf.kg_residual(model, probe_point, i, 1e-3)
+
+
 def test_node_guard(model):
     # exact interior node of the symmetrized state: z2 = L - z1 at equal times
     node = pf.ConfigPoint(z1=1.0, t1=0.0, z2=L - 1.0, t2=0.0)
@@ -308,3 +316,26 @@ def test_float_fields_are_plain_complex(model):
     for name in ("entangled", "product", "boosted", "rescaled"):
         values = models[name].fields(0.9, 0.37, 2.2, -0.41)
         assert all(type(v) is complex for v in values), name
+
+
+LONE_FLOAT_SCRIPT = """
+import math, sys
+import properflow as pf
+for particle in (1, 2):
+    lone = pf.lone_state(pf.box_mode(1, math.pi, 1.0), particle)
+    assert lone.contains(1.0, 0.0, 2.0, 0.0) is True
+    assert lone.contains(1.0, math.inf, 2.0, 0.0) is False
+    assert lone.in_domain(pf.ConfigPoint(1.0, 0.0, 2.0, 0.0))
+    fields = lone.fields(1.0, 0.0, 2.0, 0.0)
+    assert all(type(v) is complex for v in fields), fields
+print("numpy" in sys.modules)
+"""
+
+
+def test_lone_state_floats_stay_off_numpy():
+    """A float LoneState evaluation builds no numpy values: the zero
+    gradients are plain complex and the domain test a plain bool."""
+    proc = subprocess.run(
+        [sys.executable, "-c", LONE_FLOAT_SCRIPT], capture_output=True, text=True
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False\n", "")
