@@ -41,6 +41,7 @@ the ``StepRecord``s from them once, at the end.
 from __future__ import annotations
 
 import math
+import operator
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from typing import Literal
@@ -182,13 +183,26 @@ def _trajectory(rows, epsilon: float, scheme: str, end: str) -> Trajectory:
     return Trajectory(epsilon=epsilon, scheme=scheme, records=records, termination=end)
 
 
-def _check_run_args(epsilon: float, n_steps: int, scheme: str) -> None:
+def _positive_int(value, name: str) -> int:
+    """value as an int if it is an integer (by ``operator.index``, so numpy
+    integers count and bools do not) of at least 1; ValueError otherwise."""
+    try:
+        n = operator.index(value)
+    except TypeError:
+        n = 0
+    if n < 1 or isinstance(value, bool):
+        raise ValueError(f"{name} must be a positive integer, got {value!r}")
+    return n
+
+
+def _check_run_args(epsilon: float, n_steps: int, scheme: str) -> int:
+    """n_steps as an int, after checking all three run arguments."""
     if not epsilon > 0.0:
         raise ValueError(f"epsilon must be positive, got {epsilon!r}")
-    if not (isinstance(n_steps, int) and n_steps >= 1):
-        raise ValueError(f"n_steps must be a positive integer, got {n_steps!r}")
+    n_steps = _positive_int(n_steps, "n_steps")
     if scheme not in SCHEMES:
         raise ValueError(f"scheme must be one of {SCHEMES}, got {scheme!r}")
+    return n_steps
 
 
 def step(
@@ -202,7 +216,7 @@ def step(
     _check_run_args(epsilon, 1, scheme)
     if direction not in (1, -1):
         raise ValueError(f"direction must be +1 or -1, got {direction!r}")
-    start = (q.z1, q.t1, q.z2, q.t2)
+    start = (float(q.z1), float(q.t1), float(q.z2), float(q.t2))
     v1, _, v2, _, _ = _flows(model, *start)
     reached, _ = _advance(_flows, model, start, v1, v2, epsilon, scheme, float(direction))
     if not model.contains(*reached):
@@ -215,7 +229,7 @@ def _integrate(
 ) -> Trajectory:
     rows = []
     end = "completed"
-    q = (q0.z1, q0.t1, q0.z2, q0.t2)
+    q = (float(q0.z1), float(q0.t1), float(q0.z2), float(q0.t2))
     d = float(direction)
     for j in range(n_steps + 1):
         try:
@@ -284,7 +298,7 @@ def integrate(
     trajectories, in order, is returned.  On reaching a member whose start
     fails it raises that start's error, as a single-start call would.
     """
-    _check_run_args(epsilon, n_steps, scheme)
+    n_steps = _check_run_args(epsilon, n_steps, scheme)
     if isinstance(q0, ConfigPoint):
         return _integrate(model, q0, epsilon, n_steps, scheme, direction=1)
     return _lockstep(model, tuple(q0), epsilon, n_steps, scheme)
@@ -372,8 +386,7 @@ def sample_hyperplane(
     two timelike eigenvalues, restricted to node-free configurations.
     Same seed, same points.
     """
-    if not (isinstance(count, int) and count >= 1):
-        raise ValueError(f"count must be a positive integer, got {count!r}")
+    count = _positive_int(count, "count")
     if weighting not in ("uniform", "eigenvalue"):
         raise ValueError(f"weighting must be 'uniform' or 'eigenvalue', got {weighting!r}")
     rng = np.random.default_rng(int(seed))

@@ -131,12 +131,15 @@ def tensor_entries(
     pp = pt * pt - pz * pz
     ss = st * st - sz * sz
     iso = a2 * (m * m - pp - ss)
-    # Raising the first index flips the sign of the z-row terms.
+    two_a2 = 2.0 * a2
+    # Raising the first index flips the sign of the z-row terms: T^z_t is
+    # -T^t_z, bit for bit, as both products are rounded symmetrically.
+    tz = two_a2 * (pt * pz + st * sz)
     return (
-        iso + 2.0 * a2 * (pt * pt + st * st),
-        2.0 * a2 * (pt * pz + st * sz),
-        -2.0 * a2 * (pz * pt + sz * st),
-        iso - 2.0 * a2 * (pz * pz + sz * sz),
+        iso + two_a2 * (pt * pt + st * st),
+        tz,
+        -tz,
+        iso - two_a2 * (pz * pz + sz * sz),
         a2,
     )
 
@@ -146,7 +149,7 @@ def assemble(ld: LogDerivatives, i: int, m: float) -> StressTensor:
     return StressTensor(*tensor_entries(ld.p, *ld.particle(i), m))
 
 
-def _row_eigvec(tt, tz, zt, zz, lam):
+def _row_eigvec(tt, tz, zt, zz, lam, array):
     """Eigenvector of T for eigenvalue lam from the larger row of T - lam I.
 
     A row (a, b) of the rank-one matrix T - lam I annihilates the
@@ -154,15 +157,19 @@ def _row_eigvec(tt, tz, zt, zz, lam):
     carries the smaller relative rounding error.  Each entry subtracts
     exactly representable components, so nearly lightlike directions stay
     resolvable where a backward-stable solver rounds onto the light cone.
+    ``array`` is the path ``flow_entries`` chose.
     """
     r1t, r1z = tz, lam - tt
     r2t, r2z = lam - zz, zt
-    if isinstance(lam, float):
-        if max(abs(r1t), abs(r1z)) >= max(abs(r2t), abs(r2z)):
-            return r1t, r1z
-        return r2t, r2z
-    first = np.maximum(abs(r1t), abs(r1z)) >= np.maximum(abs(r2t), abs(r2z))
-    return np.where(first, r1t, r2t), np.where(first, r1z, r2z)
+    if array:
+        first = np.maximum(abs(r1t), abs(r1z)) >= np.maximum(abs(r2t), abs(r2z))
+        return np.where(first, r1t, r2t), np.where(first, r1z, r2z)
+    # max(x, y) written out, with the builtin's rule (y only where y > x):
+    # a call to max costs more than the comparison.
+    a, b, c, d = abs(r1t), abs(r1z), abs(r2t), abs(r2z)
+    if (b if b > a else a) >= (d if d > c else c):
+        return r1t, r1z
+    return r2t, r2z
 
 
 def characteristic(tt, tz, zt, zz):
@@ -197,8 +204,8 @@ def flow_entries(tt, tz, zt, zz):
             )
         root = math.sqrt(disc)
     lam_hi, lam_lo = 0.5 * (tr + root), 0.5 * (tr - root)
-    ht, hz = _row_eigvec(tt, tz, zt, zz, lam_hi)
-    lt, lz = _row_eigvec(tt, tz, zt, zz, lam_lo)
+    ht, hz = _row_eigvec(tt, tz, zt, zz, lam_hi, array)
+    lt, lz = _row_eigvec(tt, tz, zt, zz, lam_lo, array)
     n_hi, n_lo = (ht - hz) * (ht + hz), (lt - lz) * (lt + lz)
     if array:
         hi = (n_hi > 0.0) & (0.0 > n_lo)

@@ -19,6 +19,11 @@ node of Psi the log derivatives blow up (node-proximity error).  Float
 coordinates raise at the first guard; arrays of coordinates (one entry
 per ensemble member) are evaluated everywhere and return both guards as
 masks.
+
+A mode computes the factors that do not depend on the point (n pi / L,
+sqrt(2/L), i omega and sqrt(2/L) n pi / L) once, when it is built, so an
+evaluation does only the work that depends on the point: at float
+coordinates through ``math`` and ``cmath``, at arrays through numpy.
 """
 
 from __future__ import annotations
@@ -26,7 +31,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import astuple, dataclass, replace
-from types import SimpleNamespace
 
 from ._numpy import np
 from .errors import BoundaryError, NodeProximityError
@@ -36,8 +40,8 @@ from .minkowski import Rapidity
 # scale counts as a node hit.
 NODE_FLOOR_RATIO = 1e-12
 
-# Scalar stand-ins for the numpy functions a box mode evaluates.
-_SCALAR_LIB = SimpleNamespace(exp=cmath.exp, sin=math.sin, cos=math.cos)
+# exp, sin and cos of a box mode evaluated at two floats; arrays use numpy's.
+_FLOAT_FUNCS = (cmath.exp, math.sin, math.cos)
 
 
 @dataclass(frozen=True)
@@ -104,19 +108,30 @@ class BoxMode:
     m: float
     omega: float
 
+    def __post_init__(self):
+        # The factors of value_and_grads that do not depend on the point,
+        # computed once per mode.  They live outside the dataclass fields,
+        # so == and repr still see only (n, L, m, omega).
+        k = self.n * math.pi / self.L
+        amp = math.sqrt(2.0 / self.L)
+        object.__setattr__(self, "_factors", (k, amp, 1j * self.omega, amp * k))
+
     def value_and_grads(self, z, t):
         """(phi, d phi/dt, d phi/dz); accepts scalars or arrays.
 
         Two floats go through ``math`` and ``cmath``, which cost a fraction
         of numpy's per-call overhead and give the same values; anything
-        else goes through numpy and broadcasts.
+        else goes through numpy and broadcasts.  k = n pi / L, sqrt(2/L),
+        i omega and sqrt(2/L) k are the mode's, computed when it was built.
         """
-        k = self.n * math.pi / self.L
-        amp = math.sqrt(2.0 / self.L)
-        lib = _SCALAR_LIB if isinstance(z, float) and isinstance(t, float) else np
-        phase = lib.exp(1j * self.omega * t)
-        val = amp * lib.sin(k * z) * phase
-        return val, 1j * self.omega * val, amp * k * lib.cos(k * z) * phase
+        k, amp, i_omega, amp_k = self._factors
+        if isinstance(z, float) and isinstance(t, float):
+            exp, sin, cos = _FLOAT_FUNCS
+        else:
+            exp, sin, cos = np.exp, np.sin, np.cos
+        phase = exp(i_omega * t)
+        val = amp * sin(k * z) * phase
+        return val, i_omega * val, amp_k * cos(k * z) * phase
 
 
 def box_mode(n: int, L: float, m: float, frequency: float | None = None) -> BoxMode:

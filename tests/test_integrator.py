@@ -1,6 +1,8 @@
 """Equal-proper-time stepping, trajectory contracts, hyperplane sampling."""
 
 import math
+import subprocess
+import sys
 from dataclasses import astuple
 
 import numpy as np
@@ -456,6 +458,56 @@ def test_integrate_validates_arguments(model, rest_point):
         pf.integrate(model, rest_point, EPS, 10, "rk4")
     with pytest.raises(ValueError):
         pf.step(model, rest_point, EPS, "leapfrog")
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(lambda m, q: pf.integrate(m, q, EPS, True), id="integrate-bool-steps"),
+        pytest.param(lambda m, q: pf.integrate(m, [q], EPS, True), id="lockstep-bool-steps"),
+        pytest.param(lambda m, q: pf.integrate(m, q, EPS, 3.0), id="integrate-float-steps"),
+        pytest.param(lambda m, q: pf.sample_hyperplane(m, True), id="sampler-bool-count"),
+        pytest.param(lambda m, q: pf.sample_hyperplane(m, 3.0), id="sampler-float-count"),
+    ],
+)
+def test_counts_must_be_integers_but_not_bools(model, rest_point, call):
+    with pytest.raises(ValueError, match="must be a positive integer, got"):
+        call(model, rest_point)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(lambda m, q, n: pf.integrate(m, q, EPS, n), id="integrate"),
+        pytest.param(lambda m, q, n: list(pf.integrate(m, [q, q], EPS, n)), id="lockstep"),
+        pytest.param(lambda m, q, n: pf.sample_hyperplane(m, n, "eigenvalue", 4), id="sampler"),
+    ],
+)
+def test_numpy_integer_counts_are_accepted(model, moving_point, call):
+    assert call(model, moving_point, np.int64(3)) == call(model, moving_point, 3)
+
+
+INT_START_SCRIPT = """
+import math, sys
+import properflow as pf
+model = pf.entangled_pair(pf.box_mode(1, math.pi, 1.0), pf.box_mode(2, math.pi, 1.0))
+for scheme in ("midpoint", "euler"):
+    ints = pf.integrate(model, pf.ConfigPoint(1, 1, 2, 0), 0.01, 3, scheme)
+    floats = pf.integrate(model, pf.ConfigPoint(1.0, 1.0, 2.0, 0.0), 0.01, 3, scheme)
+    assert repr(ints) == repr(floats), (ints, floats)
+    stepped = pf.step(model, pf.ConfigPoint(1, 1, 2, 0), 0.01, scheme)
+    assert repr(stepped) == repr(pf.step(model, pf.ConfigPoint(1.0, 1.0, 2.0, 0.0), 0.01, scheme))
+print("numpy" in sys.modules)
+"""
+
+
+def test_integer_start_takes_the_float_path():
+    """An integer start is coerced to floats once: its run never imports
+    numpy and records exactly what the float start records."""
+    proc = subprocess.run(
+        [sys.executable, "-c", INT_START_SCRIPT], capture_output=True, text=True
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False\n", "")
 
 
 def test_sampler_is_deterministic(model):

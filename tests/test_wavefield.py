@@ -5,9 +5,11 @@ significant digits (mode values and arbitrary-precision central
 differences of the analytic state), then pinned here as literals.
 """
 
+import cmath
 import math
 import subprocess
 import sys
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
@@ -37,6 +39,42 @@ def test_mode_validation():
         pf.box_mode(1, L, -0.5)
     with pytest.raises(ValueError):
         pf.entangled_pair(pf.box_mode(1, L, 1.0), pf.box_mode(2, 1.0, 1.0))
+
+
+@pytest.mark.parametrize(
+    "detuned",
+    [
+        pytest.param(lambda omega: replace(pf.box_mode(2, 2.5, 0.7), omega=omega), id="replace"),
+        pytest.param(lambda omega: pf.box_mode(2, 2.5, 0.7, frequency=omega), id="frequency"),
+    ],
+)
+def test_modes_evaluate_with_their_own_frequency(detuned):
+    """A mode's point-independent factors are built with the mode, so a
+    copy with another omega evaluates with that omega, on floats and on
+    arrays, and leaves the mode it was made from as it was."""
+    z, t = 0.9, 1.3
+    k, amp = 2.0 * math.pi / 2.5, math.sqrt(2.0 / 2.5)
+    base = pf.box_mode(2, 2.5, 0.7)
+    before = base.value_and_grads(z, t)
+    for omega in (0.4, 3.7, base.omega):
+        mode = detuned(omega)
+        val = amp * math.sin(k * z) * cmath.exp(1j * omega * t)
+        expected = (val, 1j * omega * val, amp * k * math.cos(k * z) * cmath.exp(1j * omega * t))
+        floats = mode.value_and_grads(z, t)
+        arrays = [complex(f[0]) for f in mode.value_and_grads(np.array([z]), np.array([t]))]
+        for got in (floats, arrays):
+            for g, e in zip(got, expected):
+                assert abs(g - e) <= 1e-15 * max(1.0, abs(e))
+    assert base.value_and_grads(z, t) == before
+
+
+def test_mode_equality_and_repr_see_only_the_fields():
+    mode = pf.box_mode(1, L, 1.0)
+    same = pf.BoxMode(1, L, 1.0, mode.omega)
+    assert repr(mode) == f"BoxMode(n=1, L={L!r}, m=1.0, omega={mode.omega!r})"
+    assert mode == same and hash(mode) == hash(same)
+    assert astuple(mode) == (1, L, 1.0, mode.omega)
+    assert mode != replace(mode, omega=2.0)
 
 
 def test_amplitude_at_rest_point(model, rest_point):
