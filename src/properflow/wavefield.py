@@ -20,14 +20,6 @@ coordinates raise at the first guard; arrays of coordinates (one entry
 per ensemble member) are evaluated everywhere and return both guards as
 masks.
 
-A pair of box modes a, b has the total frequency omega_a + omega_b:
-dPsi/dt1 + dPsi/dt2 = i (omega_a + omega_b) Psi at every point, so
-|Psi|^2 depends on t1 - t2 only.  ``log_ratios`` keeps the time ratios
-of such a model on this identity exactly, i (omega_a + omega_b) / 2 plus
-and minus half their difference.  Near a node Psi is a small difference
-of O(1) terms whose rounding would otherwise leak into the real parts
-d ln|Psi| / dt_i, magnified by 1 / |Psi|, and break p_t1 + p_t2 = 0.
-
 A mode computes the factors that do not depend on the point (n pi / L,
 sqrt(2/L), i omega and sqrt(2/L) n pi / L) once, when it is built, so an
 evaluation does only the work that depends on the point: at float
@@ -169,14 +161,12 @@ class WaveModel:
 
     Subclasses set ``mass``, ``well_width`` and ``amp2_floor`` and
     implement ``fields`` / ``contains``; both accept scalars or numpy
-    arrays and broadcast.  A subclass whose Psi obeys dPsi/dt1 + dPsi/dt2
-    = i Omega Psi everywhere sets ``total_frequency`` to Omega.
+    arrays and broadcast.
     """
 
     mass: float
     well_width: float
     amp2_floor: float
-    total_frequency: float | None = None
 
     def fields(self, z1, t1, z2, t2):
         """(Psi, dPsi/dt1, dPsi/dz1, dPsi/dt2, dPsi/dz2)."""
@@ -214,7 +204,6 @@ class ProductPair(WaveModel):
         self.mass = state_a.m
         self.well_width = state_a.L
         self.amp2_floor = NODE_FLOOR_RATIO * (2.0 / state_a.L) ** 2
-        self.total_frequency = state_a.omega + state_b.omega
 
     def fields(self, z1, t1, z2, t2):
         a1, a1_t, a1_z = self.state_a.value_and_grads(z1, t1)
@@ -236,7 +225,6 @@ class EntangledPair(WaveModel):
         self.mass = state_a.m
         self.well_width = state_a.L
         self.amp2_floor = NODE_FLOOR_RATIO * (2.0 / state_a.L) ** 2
-        self.total_frequency = state_a.omega + state_b.omega
 
     def fields(self, z1, t1, z2, t2):
         a1, a1_t, a1_z = self.state_a.value_and_grads(z1, t1)
@@ -306,9 +294,6 @@ class BoostedModel(WaveModel):
         self.mass = base.mass
         self.well_width = base.well_width
         self.amp2_floor = base.amp2_floor
-        # d/dt1' + d/dt2' mixes in d/dz1 + d/dz2 unless the boost is the
-        # identity, which keeps the base's total frequency.
-        self.total_frequency = base.total_frequency if self._s == 0.0 else None
 
     def _pull_back(self, z, t):
         # Coordinates of the same event in the unprimed frame.
@@ -345,7 +330,6 @@ class RescaledModel(WaveModel):
         self.mass = base.mass
         self.well_width = base.well_width
         self.amp2_floor = base.amp2_floor * abs(factor) ** 2
-        self.total_frequency = base.total_frequency
 
     def fields(self, z1, t1, z2, t2):
         return tuple(self.factor * f for f in self.base.fields(z1, t1, z2, t2))
@@ -409,19 +393,11 @@ def log_ratios(model: WaveModel, z1, t1, z2, t2):
     p = ln|Psi| and r_i = (d Psi / Psi) per coordinate of particle i, whose
     real and imaginary parts are the gradients of p and s.  Arrays of
     coordinates return arrays, followed by the masks (outside, node) of
-    the domain and node guards.  For a model with a total frequency Omega
-    the time ratios are i Omega / 2 +- half their difference, so their
-    real parts are exact negatives and their sum is i Omega to rounding;
-    swapping the particles swaps them exactly.
+    the domain and node guards.
     """
     a2, psi, dt1, dz1, dt2, dz2, guards = _checked_fields(model, z1, t1, z2, t2)
     log = np.log if guards else math.log
-    r1t, r2t = dt1 / psi, dt2 / psi
-    omega = model.total_frequency
-    if omega is not None:
-        mean, half = 0.5j * omega, 0.5 * (r1t - r2t)
-        r1t, r2t = mean + half, mean - half
-    return (psi, 0.5 * log(a2), r1t, dz1 / psi, r2t, dz2 / psi) + guards
+    return (psi, 0.5 * log(a2), dt1 / psi, dz1 / psi, dt2 / psi, dz2 / psi) + guards
 
 
 def log_derivatives(model: WaveModel, q: ConfigPoint) -> LogDerivatives:

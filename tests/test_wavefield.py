@@ -127,20 +127,6 @@ def test_entangled_structure_identities(model, z1, z2, t1, t2):
     assert abs(s_t1 + s_t2 - total) <= 1e-12 * (abs(s_t1) + abs(s_t2) + 1.0)
 
 
-def test_time_ratios_keep_total_frequency_near_node(model):
-    """Close to a node, where Psi is a small difference of O(1) terms, the
-    real parts of the time ratios are still exact negatives and their
-    imaginary parts still sum to w1 + w2."""
-    q = pf.ConfigPoint(2.787109375, 1.5, 0.35546875, 1.5)
-    assert abs(model.amplitude(q)) ** 2 < 1e-8
-    ld = pf.log_derivatives(model, q)
-    assert ld.p_t[0] == -ld.p_t[1]
-    total = math.sqrt(2.0) + math.sqrt(5.0)
-    assert abs(ld.s_t[0] + ld.s_t[1] - total) <= 1e-15 * abs(ld.s_t[0])
-    swapped = pf.log_derivatives(model, pf.ConfigPoint(q.z2, q.t2, q.z1, q.t1))
-    assert swapped.p_t == ld.p_t[::-1] and swapped.s_t == ld.s_t[::-1]
-
-
 @settings(deadline=None)
 @given(z1=interior, z2=interior, t1=times, t2=times)
 def test_exchange_symmetry_of_fields(model, z1, z2, t1, t2):
