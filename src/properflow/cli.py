@@ -36,8 +36,11 @@ frame-comparison failure.  Each is the ``exit_code`` of an error class
 (``ConfigError`` here, the rest in ``errors``); a partial run exits with
 ``Trajectory.exit_code``, the code of the class whose tag ended it.
 Aborted runs still write their partial trajectory before exiting nonzero.
-All files are written atomically (temp file plus rename) and contain no
-timestamps, so reruns with the same config and seed are byte-identical.
+All files are written atomically: each goes to a temp file of this
+process, created with mode 0o666 so that the umask sets its permissions
+as for any new file, and is then renamed over the output name.  They
+contain no timestamps, so reruns with the same config and seed are
+byte-identical.
 """
 
 from __future__ import annotations
@@ -45,8 +48,8 @@ from __future__ import annotations
 import math
 import os
 import sys
-import tempfile
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 from .errors import ComparisonFailure, FlowError, LightlikeVelocityError, SamplingError
@@ -88,6 +91,12 @@ class RunConfig:
     total_proper_time: float | None = None
     ensemble: EnsembleSpec | None = None
     echo: tuple[str, ...] = field(default=())
+
+    @cached_property
+    def echo_header(self) -> str:
+        """The config echo as ``#`` comment lines that open every output
+        file; built once per config, not once per file."""
+        return "".join(f"# {line}\n" for line in self.echo)
 
 
 @dataclass(frozen=True)
@@ -356,45 +365,51 @@ def build_model(cfg: RunConfig) -> WaveModel:
     return model
 
 
+# A temp file is created fresh (never through a symlink) with mode 0o666,
+# so the umask alone decides the output's permissions.
+_TEMP_FLAGS = os.O_WRONLY | os.O_CREAT | os.O_EXCL | os.O_NOFOLLOW | os.O_CLOEXEC
+
+
 def _writer(out_dir: Path):
     """write(name, text) into out_dir, creating the directory on the first
-    write; each file goes to a temp file that is then renamed over it.  An
+    write; each file goes to a temp file of this process in out_dir that
+    is then renamed over it, so a reader never sees a partial file.  An
     ``OSError`` becomes a ``ConfigError`` naming the file."""
     made = False
+    suffix = f".{os.getpid()}.tmp"
 
     def write(name: str, text: str) -> None:
         nonlocal made
+        target = out_dir / name
         try:
             if not made:
                 out_dir.mkdir(parents=True, exist_ok=True)
                 made = True
-            fd, tmp = tempfile.mkstemp(dir=out_dir, prefix=name, suffix=".tmp")
+            tmp = out_dir / (name + suffix)
+            fd = os.open(tmp, _TEMP_FLAGS, 0o666)
             try:
-                with os.fdopen(fd, "w") as handle:
-                    handle.write(text)
-                os.replace(tmp, out_dir / name)
+                try:
+                    data = memoryview(text.encode())
+                    while data:
+                        data = data[os.write(fd, data):]
+                finally:
+                    os.close(fd)
+                os.replace(tmp, target)
             except BaseException:
                 os.unlink(tmp)
                 raise
         except OSError as err:
-            raise ConfigError(f"cannot write output {out_dir / name}: {err}") from None
+            raise ConfigError(f"cannot write output {target}: {err}") from None
 
     return write
 
 
-def _echo_lines(cfg: RunConfig) -> list[str]:
-    return [f"# {line}" for line in cfg.echo]
-
-
 def trajectory_csv(traj: Trajectory, cfg: RunConfig) -> str:
-    lines = _echo_lines(cfg)
-    lines.append(f"# termination = {traj.termination}")
-    lines.append(CSV_HEADER)
+    lines = [f"# termination = {traj.termination}", CSV_HEADER]
     row = ",".join(["%.17g"] * 9)
-    for r in traj.records:
-        q = r.q
-        lines.append(row % (r.sigma, q.z1, q.t1, q.z2, q.t2, r.v1, r.v2, r.lambda1, r.lambda2))
-    return "\n".join(lines) + "\n"
+    eps = traj.epsilon
+    lines.extend(row % (j * eps, *r) for j, r in enumerate(traj.rows))
+    return cfg.echo_header + "\n".join(lines) + "\n"
 
 
 def emit_svg(traj: Trajectory, spec: PlotSpec | None = None) -> str:
@@ -410,7 +425,7 @@ def emit_svg(traj: Trajectory, spec: PlotSpec | None = None) -> str:
         raise ValueError(f"label_stride must be >= 1, got {spec.label_stride!r}")
     if not spec.particles:
         raise ValueError("cannot plot without a particle panel")
-    if not traj.records:
+    if not traj.rows:
         raise ValueError("cannot plot an empty trajectory")
     margin = 54.0
     n_panels = len(spec.particles)
@@ -422,8 +437,11 @@ def emit_svg(traj: Trajectory, spec: PlotSpec | None = None) -> str:
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{w}" height="{h}" viewBox="0 0 {w} {h}">'
         f'<rect x="0" y="0" width="{w}" height="{h}" fill="white" />'
     ]
+    # A ConfigPoint of whole coordinate columns: ``particle`` picks a
+    # particle's (ts, zs) and rejects any other index, as for one point.
+    world_lines = ConfigPoint(*tuple(zip(*traj.rows))[:4])
     for panel, particle in enumerate(spec.particles):
-        ts, zs = zip(*(r.q.particle(particle) for r in traj.records))
+        ts, zs = world_lines.particle(particle)
         x0 = margin + panel * (panel_w + margin)
         y0 = margin
 
@@ -450,12 +468,12 @@ def emit_svg(traj: Trajectory, spec: PlotSpec | None = None) -> str:
             f'<text x="{x0 + panel_w / 2:.2f}" y="{y0 + panel_h + 32:.2f}" {axis}>z</text>'
             f'<text x="{x0 - 28:.2f}" y="{y0 + panel_h / 2:.2f}" {axis}>t</text>'
         )
-        if len(traj.records) > 1:
+        if len(traj.rows) > 1:
             pts = " ".join(f"{sx(z):.3f},{sy(t):.3f}" for z, t in zip(zs, ts))
             parts.append(
                 f'<polyline points="{pts}" fill="none" stroke="#1f5fa8" stroke-width="1.5" />'
             )
-        for j in range(0, len(traj.records), spec.label_stride):
+        for j in range(0, len(traj.rows), spec.label_stride):
             x, y = sx(zs[j]), sy(ts[j])
             parts.append(
                 f'<circle cx="{x:.3f}" cy="{y:.3f}" r="2.2" fill="#b03030" />'
@@ -468,42 +486,38 @@ def emit_svg(traj: Trajectory, spec: PlotSpec | None = None) -> str:
 def ensemble_summary_csv(
     cfg: RunConfig, members: list[tuple[ConfigPoint, Trajectory]]
 ) -> str:
-    lines = _echo_lines(cfg)
-    lines.append(
-        "member,z1_0,t1_0,z2_0,t2_0,termination,sigma_final,z1_f,t1_f,z2_f,t2_f"
-    )
+    lines = ["member,z1_0,t1_0,z2_0,t2_0,termination,sigma_final,z1_f,t1_f,z2_f,t2_f"]
     row = "%d,%.17g,%.17g,%.17g,%.17g,%s,%.17g,%.17g,%.17g,%.17g,%.17g"
     for k, (q0, traj) in enumerate(members):
-        last = traj.records[-1]
-        q = last.q
+        sigma = (len(traj.rows) - 1) * traj.epsilon
         lines.append(row % (
-            k, q0.z1, q0.t1, q0.z2, q0.t2, traj.termination, last.sigma, q.z1, q.t1, q.z2, q.t2
+            k, q0.z1, q0.t1, q0.z2, q0.t2, traj.termination, sigma, *traj.rows[-1][:4]
         ))
-    return "\n".join(lines) + "\n"
+    return cfg.echo_header + "\n".join(lines) + "\n"
 
 
 def comparison_csv(comp, cfg: RunConfig) -> str:
-    lines = _echo_lines(cfg)
-    lines.append("# alpha = %.17g" % comp.alpha.alpha)
-    lines.append("# max_deviation = %.17g" % comp.max_deviation)
-    lines.append("step,sigma,dev1,dev2,deviation")
+    lines = [
+        "# alpha = %.17g" % comp.alpha.alpha,
+        "# max_deviation = %.17g" % comp.max_deviation,
+        "step,sigma,dev1,dev2,deviation",
+    ]
     for j, ((d1, d2), d) in enumerate(
         zip(comp.per_particle_deviation, comp.per_step_deviation)
     ):
         lines.append("%d,%.17g,%.17g,%.17g,%.17g" % (j, j * comp.epsilon, d1, d2, d))
-    return "\n".join(lines) + "\n"
+    return cfg.echo_header + "\n".join(lines) + "\n"
 
 
 def convergence_csv(report, cfg: RunConfig) -> str:
-    lines = _echo_lines(cfg)
-    lines.append("epsilon,max_deviation")
+    lines = ["epsilon,max_deviation"]
     for e, d in zip(report.epsilons, report.deviations):
         lines.append("%.17g,%.17g" % (e, d))
     if report.fitted_order is None:
         lines.append("# fitted_order = n/a (deviations below rounding floor)")
     else:
         lines.append("# fitted_order = %.17g" % report.fitted_order)
-    return "\n".join(lines) + "\n"
+    return cfg.echo_header + "\n".join(lines) + "\n"
 
 
 def cmd_simulate(cfg: RunConfig) -> int:

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 from ._numpy import np
 from .errors import ComparisonFailure
-from .minkowski import FourVector, Rapidity, boost
+from .minkowski import FourVector, Rapidity, boost, boost_coords
 from .wavefield import ConfigPoint, WaveModel, boosted
 from .integrator import DEFAULT_SCHEME, Scheme, Trajectory, integrate
 
@@ -85,20 +85,22 @@ def compare_frames(
     if (
         not base.completed
         or not primed.completed
-        or len(base.records) != len(primed.records)
+        or len(base.rows) != len(primed.rows)
     ):
-        shorter = min(len(base.records), len(primed.records))
+        shorter = min(len(base.rows), len(primed.rows))
         raise ComparisonFailure(
             f"frames not comparable: base {base.termination!r} with "
-            f"{len(base.records)} records, boosted {primed.termination!r} with "
-            f"{len(primed.records)} records (comparable prefix {shorter})"
+            f"{len(base.rows)} records, boosted {primed.termination!r} with "
+            f"{len(primed.rows)} records (comparable prefix {shorter})"
         )
+    c, s = math.cosh(alpha.alpha), math.sinh(alpha.alpha)
     per_particle = []
     per_step = []
-    for rb, rp in zip(base.records, primed.records):
-        qb = boost_configuration(rb.q, alpha)
-        d1 = math.hypot(qb.t1 - rp.q.t1, qb.z1 - rp.q.z1)
-        d2 = math.hypot(qb.t2 - rp.q.t2, qb.z2 - rp.q.z2)
+    for (z1, t1, z2, t2, *_), (zp1, tp1, zp2, tp2, *_) in zip(base.rows, primed.rows):
+        tb1, zb1 = boost_coords(t1, z1, c, s)
+        tb2, zb2 = boost_coords(t2, z2, c, s)
+        d1 = math.hypot(tb1 - tp1, zb1 - zp1)
+        d2 = math.hypot(tb2 - tp2, zb2 - zp2)
         per_particle.append((d1, d2))
         per_step.append(max(d1, d2))
     return FrameComparison(
@@ -165,4 +167,4 @@ def convergence_study(
 def coordination_profile(traj: Trajectory) -> list[float]:
     """Time offset t1 - t2 at each record; constant zero for equal-time
     starts of a stationary flow, varying otherwise."""
-    return [r.q.t1 - r.q.t2 for r in traj.records]
+    return [t1 - t2 for _, t1, _, t2, *_ in traj.rows]

@@ -33,9 +33,13 @@ the midpoint stage and the displacement for floats and arrays alike.  A
 step that leaves the well is caught, in both loops, by the domain guard
 of the next evaluation, which ends the run with ``boundary_abort`` after
 the last point inside; only the public ``step``, which evaluates nothing
-after it, checks the point it reaches itself.  Each loop appends rows
-(z1, t1, z2, t2, v1, v2, lambda1, lambda2), and ``_trajectory`` builds
-the ``StepRecord``s from them once, at the end.
+after it, checks the point it reaches itself.
+
+Each loop appends rows (z1, t1, z2, t2, v1, v2, lambda1, lambda2), and
+the rows are a ``Trajectory``'s stored form: the CLI writers, the frame
+comparison and ``reverse_check`` read them as they are.  The
+``StepRecord``s of ``Trajectory.records`` are built from them on first
+read, for library callers that ask for them.
 """
 
 from __future__ import annotations
@@ -44,6 +48,7 @@ import math
 import operator
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Literal
 
 from ._numpy import np
@@ -89,12 +94,61 @@ class StepRecord:
     lambda2: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Trajectory:
+    """One run: its rows, the j-th at sigma = j * epsilon, and the
+    termination tag that ended it.
+
+    A row is (z1, t1, z2, t2, v1, v2, lambda1, lambda2), a record's
+    fields in order; the rows are the stored form and the integrator
+    hands them over as they are.  ``records`` builds the ``StepRecord``s
+    on first read and keeps them.  Built from ``records`` instead, whose
+    sigmas must be j * epsilon, a trajectory derives its rows once.
+    ``==`` and ``hash`` compare epsilon, scheme, rows and termination.
+    """
+
     epsilon: float
     scheme: str
-    records: tuple[StepRecord, ...]
+    rows: tuple[tuple[float, ...], ...]
     termination: str
+
+    def __init__(
+        self,
+        epsilon: float,
+        scheme: str,
+        records: Sequence[StepRecord] | None = None,
+        termination: str | None = None,
+        *,
+        rows: Sequence[Sequence[float]] | None = None,
+    ):
+        if termination is None:
+            raise TypeError("Trajectory needs a termination tag")
+        if (records is None) == (rows is None):
+            raise TypeError("Trajectory takes exactly one of records and rows")
+        if records is not None:
+            records = tuple(records)
+            for j, r in enumerate(records):
+                if r.sigma != j * epsilon:
+                    raise ValueError(
+                        f"record {j} has sigma {r.sigma!r}, not {j} * epsilon = {j * epsilon!r}"
+                    )
+            rows = [
+                (r.q.z1, r.q.t1, r.q.z2, r.q.t2, r.v1, r.v2, r.lambda1, r.lambda2)
+                for r in records
+            ]
+            object.__setattr__(self, "records", records)
+        object.__setattr__(self, "epsilon", epsilon)
+        object.__setattr__(self, "scheme", scheme)
+        object.__setattr__(self, "rows", tuple(map(tuple, rows)))
+        object.__setattr__(self, "termination", termination)
+
+    @cached_property
+    def records(self) -> tuple[StepRecord, ...]:
+        """The rows as ``StepRecord``s, built on first read."""
+        return tuple(
+            StepRecord(j * self.epsilon, ConfigPoint(z1, t1, z2, t2), v1, v2, lam1, lam2)
+            for j, (z1, t1, z2, t2, v1, v2, lam1, lam2) in enumerate(self.rows)
+        )
 
     @property
     def completed(self) -> bool:
@@ -110,7 +164,7 @@ class Trajectory:
 
     def configuration_array(self) -> np.ndarray:
         """(n_records, 4) array of (z1, t1, z2, t2) rows."""
-        return np.array([[r.q.z1, r.q.t1, r.q.z2, r.q.t2] for r in self.records])
+        return np.array([row[:4] for row in self.rows])
 
 
 def _flow(p, r_t, r_z, m: float):
@@ -173,25 +227,17 @@ def _advance(flows, model, q, v1, v2, epsilon, scheme, d):
     return _displace(q, v1, v2, epsilon, d), fault
 
 
-def _trajectory(rows, epsilon: float, scheme: str, end: str) -> Trajectory:
-    """Trajectory from rows (z1, t1, z2, t2, v1, v2, lambda1, lambda2), the
-    j-th at sigma = j * epsilon, ended by the termination tag end."""
-    records = tuple(
-        StepRecord(j * epsilon, ConfigPoint(z1, t1, z2, t2), v1, v2, lam1, lam2)
-        for j, (z1, t1, z2, t2, v1, v2, lam1, lam2) in enumerate(rows)
-    )
-    return Trajectory(epsilon=epsilon, scheme=scheme, records=records, termination=end)
-
-
-def _positive_int(value, name: str) -> int:
+def _integer(value, name: str, least: int = 1) -> int:
     """value as an int if it is an integer (by ``operator.index``, so numpy
-    integers count and bools do not) of at least 1; ValueError otherwise."""
+    integers count and bools do not) no smaller than least, which is 1
+    (positive) or 0 (nonnegative); ValueError otherwise."""
     try:
         n = operator.index(value)
     except TypeError:
-        n = 0
-    if n < 1 or isinstance(value, bool):
-        raise ValueError(f"{name} must be a positive integer, got {value!r}")
+        n = least - 1
+    if n < least or isinstance(value, bool):
+        kind = "positive" if least == 1 else "nonnegative"
+        raise ValueError(f"{name} must be a {kind} integer, got {value!r}")
     return n
 
 
@@ -199,7 +245,7 @@ def _check_run_args(epsilon: float, n_steps: int, scheme: str) -> int:
     """n_steps as an int, after checking all three run arguments."""
     if not epsilon > 0.0:
         raise ValueError(f"epsilon must be positive, got {epsilon!r}")
-    n_steps = _positive_int(n_steps, "n_steps")
+    n_steps = _integer(n_steps, "n_steps")
     if scheme not in SCHEMES:
         raise ValueError(f"scheme must be one of {SCHEMES}, got {scheme!r}")
     return n_steps
@@ -243,7 +289,7 @@ def _integrate(
                 raise
             end = err.tag
             break
-    return _trajectory(rows, epsilon, scheme, end)
+    return Trajectory(epsilon, scheme, rows=rows, termination=end)
 
 
 def _lockstep(
@@ -270,14 +316,16 @@ def _lockstep(
                 break
             q, fault = _advance(_array_flows, model, q, v1, v2, epsilon, scheme, 1.0)
             ended = np.where(ended, ended, fault)
-    # [member, record, column], columns as in a row of _trajectory.
+    # [member, record, column], columns as in a Trajectory row.
     table = np.array(rows).transpose(2, 0, 1)
     for q0, member, count, end in zip(starts, table, counts.tolist(), ended.tolist()):
         if count == 0:
             # The start itself fails: the float chain raises its error.
             yield _integrate(model, q0, epsilon, n_steps, scheme, direction=1)
             continue
-        yield _trajectory(member[:count].tolist(), epsilon, scheme, TERMINATIONS[end])
+        yield Trajectory(
+            epsilon, scheme, rows=member[:count].tolist(), termination=TERMINATIONS[end]
+        )
 
 
 def integrate(
@@ -314,25 +362,24 @@ def reverse_check(model: WaveModel, traj: Trajectory) -> float:
     """
     if not traj.completed:
         raise ValueError(f"reverse check needs a completed trajectory, got {traj.termination!r}")
-    n = len(traj.records) - 1
+    n = len(traj.rows) - 1
     if n == 0:
         return 0.0
-    back = _integrate(
-        model, traj.records[-1].q, traj.epsilon, n, traj.scheme, direction=-1
-    )
-    if not back.completed or len(back.records) != n + 1:
+    start = ConfigPoint(*traj.rows[-1][:4])
+    back = _integrate(model, start, traj.epsilon, n, traj.scheme, direction=-1)
+    if not back.completed or len(back.rows) != n + 1:
         return math.inf
     worst = 0.0
-    for j, rec in enumerate(back.records):
-        target = traj.records[n - j].q
-        worst = max(worst, _particle_distance(rec.q, target))
+    for j, row in enumerate(back.rows):
+        worst = max(worst, _particle_distance(row, traj.rows[n - j]))
     return worst
 
 
-def _particle_distance(a: ConfigPoint, b: ConfigPoint) -> float:
-    d1 = math.hypot(a.t1 - b.t1, a.z1 - b.z1)
-    d2 = math.hypot(a.t2 - b.t2, a.z2 - b.z2)
-    return max(d1, d2)
+def _particle_distance(a, b) -> float:
+    """The larger of the two particles' Euclidean (t, z) distances between
+    rows a and b."""
+    (za1, ta1, za2, ta2), (zb1, tb1, zb2, tb2) = a[:4], b[:4]
+    return max(math.hypot(ta1 - tb1, za1 - zb1), math.hypot(ta2 - tb2, za2 - zb2))
 
 
 def _timelike_lambdas(model: WaveModel, z1, t1, z2, t2):
@@ -384,12 +431,14 @@ def sample_hyperplane(
     uniform draws both positions independently over (0, L); eigenvalue
     performs seeded rejection sampling proportional to the product of the
     two timelike eigenvalues, restricted to node-free configurations.
-    Same seed, same points.
+    Same seed, same points.  count must be a positive and seed a
+    nonnegative integer; numpy integers count, bools and floats do not.
     """
-    count = _positive_int(count, "count")
+    count = _integer(count, "count")
+    seed = _integer(seed, "seed", least=0)
     if weighting not in ("uniform", "eigenvalue"):
         raise ValueError(f"weighting must be 'uniform' or 'eigenvalue', got {weighting!r}")
-    rng = np.random.default_rng(int(seed))
+    rng = np.random.default_rng(seed)
     L = model.well_width
     if weighting == "uniform":
         draws = rng.uniform(0.0, L, size=(count, 2))

@@ -94,11 +94,16 @@ def rapidity_from_velocity(v: float) -> Rapidity:
     return Rapidity(_rapidity(v))
 
 
+def boost_coords(t: float, z: float, c: float, s: float) -> tuple[float, float]:
+    """Float kernel of ``boost``: (t, z) boosted by the rapidity whose cosh
+    is c and sinh is s, so a caller boosting many points takes them once."""
+    return c * t - s * z, -s * t + c * z
+
+
 def boost(p: FourVector, alpha: Rapidity) -> FourVector:
     """Passive boost of a contravariant (t, z) pair by rapidity alpha."""
-    c = math.cosh(alpha.alpha)
-    s = math.sinh(alpha.alpha)
-    return FourVector(t=c * p.t - s * p.z, z=-s * p.t + c * p.z)
+    t, z = boost_coords(p.t, p.z, math.cosh(alpha.alpha), math.sinh(alpha.alpha))
+    return FourVector(t=t, z=z)
 
 
 def velocity_addition(v: float, u: float) -> float:

@@ -1,6 +1,8 @@
 """Config parsing, subcommands, CSV/SVG artifacts, exit codes."""
 
 import math
+import os
+import stat
 import subprocess
 import sys
 from pathlib import Path
@@ -9,7 +11,7 @@ from xml.etree import ElementTree as ET
 import pytest
 
 import properflow as pf
-from properflow import cli
+from properflow import cli, integrator
 from properflow.integrator import TERMINATIONS
 
 L_LINE = "L = 3.141592653589793"
@@ -432,3 +434,60 @@ def test_console_script_wiring(tmp_path):
     )
     assert proc.returncode == 0
     assert (out / "trajectory.csv").exists()
+
+
+def test_outputs_follow_the_umask(tmp_path):
+    """Outputs get the mode of any new file under the umask (0o644 under
+    0o022), not a private temp file's 0o600."""
+    cfg = _write(tmp_path, FIG2)
+    out = tmp_path / "out"
+    old = os.umask(0o022)
+    try:
+        assert cli.main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+    finally:
+        os.umask(old)
+    modes = {p.name: stat.S_IMODE(p.stat().st_mode) for p in out.iterdir()}
+    assert modes == {"trajectory.csv": 0o644, "trajectory.svg": 0o644}
+
+
+def test_failed_rename_leaves_no_temp_file(tmp_path, capsys, monkeypatch):
+    def refuse(src, dst):
+        raise PermissionError(13, "Permission denied")
+
+    monkeypatch.setattr(cli.os, "replace", refuse)
+    out = tmp_path / "out"
+    assert cli.main(["simulate", "--config", _write(tmp_path, FIG1), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"simulate: cannot write output {out / 'trajectory.csv'}")
+    assert list(out.iterdir()) == []
+
+
+def _outputs(out):
+    return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+
+
+@pytest.mark.parametrize("command", ["simulate", "ensemble", "covariance"])
+def test_commands_build_no_step_records(tmp_path, monkeypatch, command):
+    """The commands write straight from a trajectory's rows: with
+    StepRecord made unusable they exit 0 and write the same bytes."""
+    cfg = _write(tmp_path, FIG2 + BOOST_BLOCK + ENSEMBLE_BLOCK)
+    plain, patched = tmp_path / "plain", tmp_path / "patched"
+    assert cli.main([command, "--config", cfg, "--out", str(plain)]) == 0
+
+    def no_records(*args, **kwargs):
+        raise AssertionError("a StepRecord was built")
+
+    monkeypatch.setattr(integrator, "StepRecord", no_records)
+    assert cli.main([command, "--config", cfg, "--out", str(patched)]) == 0
+    assert _outputs(patched) == _outputs(plain)
+
+
+def test_trajectory_rebuilt_from_records_writes_the_same_text(tmp_path, model, moving_point):
+    traj = pf.integrate(model, moving_point, 0.01, 60, "midpoint")
+    rebuilt = pf.Trajectory(epsilon=traj.epsilon, scheme=traj.scheme,
+                            records=traj.records, termination=traj.termination)
+    assert rebuilt == traj and hash(rebuilt) == hash(traj)
+    assert rebuilt.records is traj.records
+    cfg = cli.load_config(_write(tmp_path, FIG2), tmp_path / "out")
+    assert cli.trajectory_csv(rebuilt, cfg) == cli.trajectory_csv(traj, cfg)
+    assert cli.emit_svg(rebuilt) == cli.emit_svg(traj)

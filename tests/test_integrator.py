@@ -475,6 +475,39 @@ def test_counts_must_be_integers_but_not_bools(model, rest_point, call):
         call(model, rest_point)
 
 
+@pytest.mark.parametrize("seed", [2.7, True, -1, "3", None])
+def test_sampler_seed_must_be_a_nonnegative_integer(model, seed):
+    """No seed is truncated or coerced: 2.7 would draw seed 2's points and
+    True seed 1's."""
+    with pytest.raises(ValueError, match=r"^seed must be a nonnegative integer, got"):
+        pf.sample_hyperplane(model, 3, "uniform", seed=seed)
+
+
+def test_sampler_accepts_numpy_integer_seeds(model):
+    assert pf.sample_hyperplane(model, 3, seed=np.uint8(2)) == pf.sample_hyperplane(
+        model, 3, seed=2
+    )
+
+
+def test_trajectory_records_are_built_from_rows_on_first_read(model, moving_point):
+    traj = pf.integrate(model, moving_point, EPS, 5, "midpoint")
+    assert "records" not in vars(traj)
+    assert traj.records is traj.records
+    rows = [astuple(r.q) + (r.v1, r.v2, r.lambda1, r.lambda2) for r in traj.records]
+    assert rows == list(traj.rows)
+    assert [r.sigma for r in traj.records] == [j * EPS for j in range(6)]
+
+
+def test_trajectory_from_records_needs_sigma_on_the_step_grid(model, moving_point):
+    rec = pf.integrate(model, moving_point, EPS, 2, "midpoint").records[1]
+    with pytest.raises(ValueError, match="record 0 has sigma 0.01"):
+        pf.Trajectory(epsilon=EPS, scheme="midpoint", records=(rec,), termination="completed")
+    with pytest.raises(TypeError, match="exactly one of records and rows"):
+        pf.Trajectory(EPS, "midpoint", termination="completed")
+    with pytest.raises(TypeError, match="termination"):
+        pf.Trajectory(EPS, "midpoint", records=())
+
+
 @pytest.mark.parametrize(
     "call",
     [

@@ -1,0 +1,61 @@
+"""The comparison of tools/output_identity.py on two result trees."""
+
+import importlib.util
+import sys
+from pathlib import Path
+
+import pytest
+
+TOOL = Path(__file__).resolve().parents[1] / "tools" / "output_identity.py"
+
+
+@pytest.fixture(scope="module")
+def tool():
+    spec = importlib.util.spec_from_file_location("output_identity", TOOL)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    try:
+        spec.loader.exec_module(module)
+        yield module
+    finally:
+        del sys.modules[spec.name]
+
+
+def _tree(root, files):
+    for name, data in files.items():
+        path = root / name
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_bytes(data)
+    return root
+
+
+def test_identical_trees_have_no_differences(tool, tmp_path):
+    files = {"fig2-simulate/out/trajectory.csv": b"1,2\n", "fig2-simulate/exit_code": b"0\n"}
+    parent = _tree(tmp_path / "parent", files)
+    change = _tree(tmp_path / "change", files)
+    (change / "fig2-simulate" / "exit_code").chmod(0o600)  # modes are not compared
+    assert tool.compare_trees(parent, change) == []
+
+
+def test_every_kind_of_difference_is_listed_in_path_order(tool, tmp_path):
+    parent = _tree(tmp_path / "parent", {
+        "a/stdout": b"same\n", "b/out/x.csv": b"0.1\n", "c/exit_code": b"0\n", "d/gone": b"",
+    })
+    change = _tree(tmp_path / "change", {
+        "a/stdout": b"same\n", "b/out/x.csv": b"0.10000000000000001\n", "c/exit_code": b"3\n",
+        "e/new": b"",
+    })
+    assert tool.compare_trees(parent, change) == [
+        "differs: b/out/x.csv",
+        "differs: c/exit_code",
+        "only in parent: d/gone",
+        "only in change: e/new",
+    ]
+
+
+def test_cases_cover_both_configs_commands_schemes_and_demos(tool):
+    names = [name for name, _ in tool.cases()]
+    assert len(names) == len(set(names)) == 2 * 3 * 2 + 1 + len(
+        list((TOOL.parents[1] / "demos").glob("*.py"))
+    )
+    assert "fig1-covariance-euler" in names and "fig2-ensemble-seed7" in names

@@ -1,0 +1,130 @@
+"""Byte identity of every output: a parent ref against this checkout.
+
+Usage (from the repository root):
+
+    python3 tools/output_identity.py --parent HEAD~1
+
+Exports PARENT into a temporary directory with ``git archive`` and runs
+the same cases on both sides, each side importing properflow from its own
+``src/``:
+
+- ``configs/fig1.cfg`` and ``configs/fig2.cfg`` (this checkout's copies,
+  on both sides) through ``simulate``, ``ensemble`` and ``covariance``,
+  each with ``--scheme euler`` and ``--scheme midpoint``;
+- a fig2 ``ensemble`` with ``--seed 7``;
+- every script in this checkout's ``demos/``, run from that side's
+  ``demos/``.
+
+Each case gets a directory holding the command's ``out/`` and its
+``exit_code``, ``stdout`` and ``stderr``, so one comparison of the two
+sides' trees covers file bytes, exit codes and both streams.  File modes
+are not compared.
+
+Prints every difference and exits 1 if there is one, 0 if the two sides
+are identical, 2 for a ref git cannot export.  The temporary directory is
+removed in every case.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+CONFIGS = ("fig1", "fig2")
+COMMANDS = ("simulate", "ensemble", "covariance")
+SCHEMES = ("euler", "midpoint")
+
+
+def cases() -> list[tuple[str, list[str]]]:
+    """(case name, arguments after the interpreter) for every case; a
+    demo's script path is relative to the side's tree."""
+    runs = [
+        (f"{cfg}-{command}-{scheme}",
+         ["-m", "properflow.cli", command, "--config", f"../{cfg}.cfg", "--out", "out",
+          "--scheme", scheme])
+        for cfg in CONFIGS for command in COMMANDS for scheme in SCHEMES
+    ]
+    runs.append(("fig2-ensemble-seed7",
+                 ["-m", "properflow.cli", "ensemble", "--config", "../fig2.cfg", "--out", "out",
+                  "--seed", "7"]))
+    runs += [(f"demo-{demo.stem}", [f"demos/{demo.name}"])
+             for demo in sorted((ROOT / "demos").glob("*.py"))]
+    return runs
+
+
+def run_side(tree: Path, results: Path) -> None:
+    """Run every case against ``tree``'s sources, recording into results."""
+    results.mkdir(parents=True)
+    for cfg in CONFIGS:
+        shutil.copyfile(ROOT / "configs" / f"{cfg}.cfg", results / f"{cfg}.cfg")
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"))
+    for name, args in cases():
+        case = results / name
+        case.mkdir()
+        if args[0] != "-m":
+            args = [str(tree / args[0]), *args[1:]]
+        proc = subprocess.run([sys.executable, *args], cwd=case, env=env,
+                              capture_output=True, timeout=600)
+        (case / "exit_code").write_text(f"{proc.returncode}\n")
+        (case / "stdout").write_bytes(proc.stdout)
+        (case / "stderr").write_bytes(proc.stderr)
+        print(f"{tree.name}: {name} exited {proc.returncode}", file=sys.stderr)
+
+
+def _files(root: Path) -> dict[str, Path]:
+    return {path.relative_to(root).as_posix(): path
+            for path in root.rglob("*") if path.is_file()}
+
+
+def compare_trees(parent: Path, change: Path) -> list[str]:
+    """One line per file that is only on one side or whose bytes differ,
+    in path order; empty when the two trees hold the same files."""
+    before, after = _files(parent), _files(change)
+    lines = []
+    for name in sorted(before.keys() | after.keys()):
+        if name not in after:
+            lines.append(f"only in parent: {name}")
+        elif name not in before:
+            lines.append(f"only in change: {name}")
+        elif before[name].read_bytes() != after[name].read_bytes():
+            lines.append(f"differs: {name}")
+    return lines
+
+
+def main(argv: list[str] | None = None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--parent", default="HEAD", help="git ref to compare against (default HEAD)")
+    args = ap.parse_args(argv)
+
+    scratch = Path(tempfile.mkdtemp(prefix="output-identity-"))
+    try:
+        parent_tree = scratch / "parent"
+        parent_tree.mkdir()
+        archive = subprocess.run(["git", "-C", str(ROOT), "archive", args.parent],
+                                 capture_output=True)
+        if archive.returncode != 0:
+            print(f"output_identity: cannot export {args.parent!r}: "
+                  f"{archive.stderr.decode().strip()}", file=sys.stderr)
+            return 2
+        subprocess.run(["tar", "-x", "-C", str(parent_tree)], input=archive.stdout, check=True)
+        run_side(parent_tree, scratch / "parent-results")
+        run_side(ROOT, scratch / "change-results")
+        differences = compare_trees(scratch / "parent-results", scratch / "change-results")
+        count = len(_files(scratch / "change-results"))
+    finally:
+        shutil.rmtree(scratch, ignore_errors=True)
+    for line in differences:
+        print(line)
+    print(f"parent {args.parent}: {len(differences)} differences over {len(cases())} cases "
+          f"({count} files in this checkout's results)")
+    return 1 if differences else 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())
