@@ -35,6 +35,7 @@ from .wavefield import (
     BoxMode,
     ConfigPoint,
     LogDerivatives,
+    ModeSum,
     WaveModel,
     boosted,
     box_mode,
@@ -86,6 +87,7 @@ __all__ = [
     "FrameComparison",
     "LightlikeVelocityError",
     "LogDerivatives",
+    "ModeSum",
     "NodeProximityError",
     "NoTimelikeFlowError",
     "NullStep",

@@ -167,9 +167,10 @@ class _Values:
     def __init__(self, sections: dict[str, dict[str, tuple[object, int]]]):
         self.sections = sections
 
-    def get(self, section: str, key: str):
+    def get(self, section: str, key: str, default=None):
+        """The key's value, or ``default`` when the file does not set it."""
         entry = self.sections.get(section, {}).get(key)
-        return None if entry is None else entry[0]
+        return default if entry is None else entry[0]
 
     def check(self, ok: bool, section: str, key: str, problem: str) -> None:
         """Raise ``ConfigError("section.key (line N): problem")`` unless ok."""
@@ -280,7 +281,7 @@ def load_config(
     q0 = ConfigPoint(*(get("run", key) for key in ("z1", "t1", "z2", "t2")))
     epsilon = get("run", "epsilon")
     n_steps = get("run", "steps")
-    scheme = get("run", "scheme") or DEFAULT_SCHEME
+    scheme = get("run", "scheme", DEFAULT_SCHEME)
     if scheme_override is not None:
         scheme = scheme_override
         echo.append(f"override.scheme = {scheme_override}")
@@ -318,8 +319,8 @@ def load_config(
     ensemble = None
     if "ensemble" in raw.sections:
         count = get("ensemble", "count")
-        weighting = get("ensemble", "weighting") or "uniform"
-        seed = get("ensemble", "seed") or 0
+        weighting = get("ensemble", "weighting", "uniform")
+        seed = get("ensemble", "seed", 0)
         if count is None:
             raise ConfigError("ensemble.count: required in an [ensemble] section")
         check(count >= 1, "ensemble", "count", "must be a positive integer")

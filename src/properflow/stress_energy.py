@@ -74,12 +74,9 @@ class StressTensor:
     amplitude2: float
 
     def component(self, mu: str, nu: str) -> float:
-        table = {("t", "t"): self.tt, ("t", "z"): self.tz,
-                 ("z", "t"): self.zt, ("z", "z"): self.zz}
-        try:
-            return table[(mu, nu)]
-        except KeyError:
-            raise ValueError(f"indices must be 't' or 'z', got ({mu!r}, {nu!r})") from None
+        if mu in ("t", "z") and nu in ("t", "z"):
+            return getattr(self, mu + nu)
+        raise ValueError(f"indices must be 't' or 'z', got ({mu!r}, {nu!r})")
 
     def as_matrix(self) -> np.ndarray:
         return np.array([[self.tt, self.tz], [self.zt, self.zz]])

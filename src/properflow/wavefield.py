@@ -8,8 +8,9 @@ stationary modes of an infinite square well of width L,
     phi_n(z, t) = sqrt(2/L) sin(n pi z / L) exp(i omega_n t),
     omega_n = sqrt((n pi / L)**2 + m**2),
 
-and two-particle models are built as products or symmetrized (entangled)
-sums of two such factors.  Everything downstream works with the log-polar
+and two-particle states are ``ModeSum``s, sums of products of one mode per
+particle: ``product_pair`` and the symmetrized ``entangled_pair`` are its
+one- and two-term cases.  Everything downstream works with the log-polar
 split Psi = exp(p + i s): the per-particle coordinate gradients of p and s
 are the real and imaginary parts of (d Psi / Psi).
 
@@ -186,58 +187,47 @@ class WaveModel:
         return log_derivatives(self, q)
 
 
-def _check_matching_factors(a: BoxMode, b: BoxMode) -> None:
-    if a.L != b.L or a.m != b.m:
-        raise ValueError(
-            f"factor states live in different wells: (L={a.L!r}, m={a.m!r}) "
-            f"vs (L={b.L!r}, m={b.m!r})"
-        )
+class ModeSum(WaveModel):
+    """Sum of mode products Psi = sum over terms (a, b) of a(1) b(2).
 
+    Each term pairs a mode of particle 1 with a mode of particle 2; every
+    mode must live in the same well (same L and m).
+    """
 
-class ProductPair(WaveModel):
-    """Unsymmetrized product Psi = a(1) b(2)."""
-
-    def __init__(self, state_a: BoxMode, state_b: BoxMode):
-        _check_matching_factors(state_a, state_b)
-        self.state_a = state_a
-        self.state_b = state_b
-        self.mass = state_a.m
-        self.well_width = state_a.L
-        self.amp2_floor = NODE_FLOOR_RATIO * (2.0 / state_a.L) ** 2
-
-    def fields(self, z1, t1, z2, t2):
-        a1, a1_t, a1_z = self.state_a.value_and_grads(z1, t1)
-        b2, b2_t, b2_z = self.state_b.value_and_grads(z2, t2)
-        return a1 * b2, a1_t * b2, a1_z * b2, a1 * b2_t, a1 * b2_z
-
-    def contains(self, z1, t1, z2, t2):
-        L = self.well_width
-        return (z1 > 0.0) & (z1 < L) & (z2 > 0.0) & (z2 < L)
-
-
-class EntangledPair(WaveModel):
-    """Exchange-symmetric sum Psi = a(1) b(2) + b(1) a(2)."""
-
-    def __init__(self, state_a: BoxMode, state_b: BoxMode):
-        _check_matching_factors(state_a, state_b)
-        self.state_a = state_a
-        self.state_b = state_b
-        self.mass = state_a.m
-        self.well_width = state_a.L
-        self.amp2_floor = NODE_FLOOR_RATIO * (2.0 / state_a.L) ** 2
+    def __init__(self, terms: tuple[tuple[BoxMode, BoxMode], ...]):
+        self.terms = tuple(terms)
+        if not self.terms:
+            raise ValueError("a mode sum needs at least one term")
+        first = self.terms[0][0]
+        for a, b in self.terms:
+            for mode in (a, b):
+                if mode.L != first.L or mode.m != first.m:
+                    raise ValueError(
+                        f"factor states live in different wells: (L={first.L!r}, "
+                        f"m={first.m!r}) vs (L={mode.L!r}, m={mode.m!r})"
+                    )
+        self.mass = first.m
+        self.well_width = first.L
+        self.amp2_floor = NODE_FLOOR_RATIO * (2.0 / first.L) ** 2
+        self._rest = self.terms[1:]  # not sliced per evaluation
 
     def fields(self, z1, t1, z2, t2):
-        a1, a1_t, a1_z = self.state_a.value_and_grads(z1, t1)
-        b1, b1_t, b1_z = self.state_b.value_and_grads(z1, t1)
-        a2, a2_t, a2_z = self.state_a.value_and_grads(z2, t2)
-        b2, b2_t, b2_z = self.state_b.value_and_grads(z2, t2)
-        return (
-            a1 * b2 + b1 * a2,
-            a1_t * b2 + b1_t * a2,
-            a1_z * b2 + b1_z * a2,
-            a1 * b2_t + b1 * a2_t,
-            a1 * b2_z + b1 * a2_z,
-        )
+        # Summed in term order from the first term's products, not from 0
+        # (0 + -0.0 is 0.0), so one and two terms give exactly a1 b2 and
+        # a1 b2 + b1 a2.
+        a, b = self.terms[0]
+        u, u_t, u_z = a.value_and_grads(z1, t1)
+        w, w_t, w_z = b.value_and_grads(z2, t2)
+        psi, dt1, dz1, dt2, dz2 = u * w, u_t * w, u_z * w, u * w_t, u * w_z
+        for a, b in self._rest:
+            u, u_t, u_z = a.value_and_grads(z1, t1)
+            w, w_t, w_z = b.value_and_grads(z2, t2)
+            psi += u * w
+            dt1 += u_t * w
+            dz1 += u_z * w
+            dt2 += u * w_t
+            dz2 += u * w_z
+        return psi, dt1, dz1, dt2, dz2
 
     def contains(self, z1, t1, z2, t2):
         L = self.well_width
@@ -338,12 +328,14 @@ class RescaledModel(WaveModel):
         return self.base.contains(z1, t1, z2, t2)
 
 
-def product_pair(state_a: BoxMode, state_b: BoxMode) -> ProductPair:
-    return ProductPair(state_a, state_b)
+def product_pair(state_a: BoxMode, state_b: BoxMode) -> ModeSum:
+    """Unsymmetrized product Psi = a(1) b(2)."""
+    return ModeSum(((state_a, state_b),))
 
 
-def entangled_pair(state_a: BoxMode, state_b: BoxMode) -> EntangledPair:
-    return EntangledPair(state_a, state_b)
+def entangled_pair(state_a: BoxMode, state_b: BoxMode) -> ModeSum:
+    """Exchange-symmetric sum Psi = a(1) b(2) + b(1) a(2)."""
+    return ModeSum(((state_a, state_b), (state_b, state_a)))
 
 
 def lone_state(state: BoxMode, particle: int = 1) -> LoneState:

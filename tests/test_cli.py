@@ -323,6 +323,34 @@ def test_invalid_config_values(tmp_path, capsys, command, old, new):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "command, line, problem, default",
+    [
+        ("simulate", "scheme = midpoint", "must be one of euler, midpoint, got ''",
+         integrator.DEFAULT_SCHEME),
+        ("ensemble", "weighting = eigenvalue", "must be uniform or eigenvalue, got ''",
+         "uniform"),
+    ],
+    ids=["scheme", "weighting"],
+)
+def test_empty_value_is_not_the_default(tmp_path, capsys, command, line, problem, default):
+    """A key given with no value fails its check; only an absent key takes
+    the default."""
+    key = line.split(" = ")[0]
+    text = FIG2 + ENSEMBLE_BLOCK
+    lines = text.splitlines()
+    lineno = lines.index(line) + 1
+    section = next(l for l in reversed(lines[:lineno]) if l.startswith("["))[1:-1]
+    out = tmp_path / "out"
+    cfg = _write(tmp_path, text.replace(line, f"{key} ="))
+    assert cli.main([command, "--config", cfg, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"{command}: {section}.{key} (line {lineno}): {problem}\n"
+    assert not out.exists()
+
+    absent = cli.load_config(_write(tmp_path, text.replace(line, ""), "absent.cfg"), out)
+    assert {"scheme": absent.scheme, "weighting": absent.ensemble.weighting}[key] == default
+
+
 def test_negative_seed_override_names_the_flag(tmp_path, capsys):
     cfg = _write(tmp_path, FIG2 + ENSEMBLE_BLOCK)
     out = tmp_path / "out"

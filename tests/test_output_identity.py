@@ -1,6 +1,7 @@
 """The comparison of tools/output_identity.py on two result trees."""
 
 import importlib.util
+import subprocess
 import sys
 from pathlib import Path
 
@@ -59,3 +60,22 @@ def test_cases_cover_both_configs_commands_schemes_and_demos(tool):
         list((TOOL.parents[1] / "demos").glob("*.py"))
     )
     assert "fig1-covariance-euler" in names and "fig2-ensemble-seed7" in names
+
+
+def test_export_ref_writes_the_files_of_a_good_ref_only(tool, tmp_path):
+    repo = tmp_path / "repo"
+    _tree(repo, {"src/a.py": b"x = 1\n"})
+    git = ["git", "-C", str(repo), "-c", "user.name=t", "-c", "user.email=t@t"]
+    for args in (["init", "-q"], ["add", "."], ["commit", "-q", "-m", "one"]):
+        subprocess.run(git + args, check=True, capture_output=True)
+    (repo / "src" / "a.py").write_bytes(b"x = 2\n")  # uncommitted: not exported
+
+    assert tool.export_ref("HEAD", tmp_path / "good", repo) is None
+    assert (tmp_path / "good" / "src" / "a.py").read_bytes() == b"x = 1\n"
+    assert not (tmp_path / "good" / ".git").exists()
+
+    error = tool.export_ref("no-such-ref", tmp_path / "bad", repo)
+    assert error and "no-such-ref" in error
+    assert not (tmp_path / "bad").exists()
+    assert subprocess.run(git + ["worktree", "list", "--porcelain"], capture_output=True,
+                          text=True).stdout.count("worktree ") == 1

@@ -377,3 +377,80 @@ def test_lone_state_floats_stay_off_numpy():
         [sys.executable, "-c", LONE_FLOAT_SCRIPT], capture_output=True, text=True
     )
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False\n", "")
+
+
+def _three_term_state():
+    """Psi = phi1(1) phi2(2) + phi2(1) phi1(2) + phi1(1) phi3(2): moves
+    from equal-time starts, unlike the entangled pair."""
+    m1, m2, m3 = (pf.box_mode(n, L, 1.0) for n in (1, 2, 3))
+    return pf.ModeSum(((m1, m2), (m2, m1), (m1, m3)))
+
+
+def test_pair_constructors_keep_the_pair_formulas():
+    """product_pair and entangled_pair give exactly the hand-written
+    products, on floats and on arrays."""
+    a, b = pf.box_mode(1, L, 1.0), pf.box_mode(2, L, 1.0)
+
+    def product(z1, t1, z2, t2):
+        a1, a1_t, a1_z = a.value_and_grads(z1, t1)
+        b2, b2_t, b2_z = b.value_and_grads(z2, t2)
+        return a1 * b2, a1_t * b2, a1_z * b2, a1 * b2_t, a1 * b2_z
+
+    def entangled(z1, t1, z2, t2):
+        a1, a1_t, a1_z = a.value_and_grads(z1, t1)
+        b1, b1_t, b1_z = b.value_and_grads(z1, t1)
+        a2, a2_t, a2_z = a.value_and_grads(z2, t2)
+        b2, b2_t, b2_z = b.value_and_grads(z2, t2)
+        return (a1 * b2 + b1 * a2, a1_t * b2 + b1_t * a2, a1_z * b2 + b1_z * a2,
+                a1 * b2_t + b1 * a2_t, a1 * b2_z + b1 * a2_z)
+
+    rng = np.random.default_rng(23)
+    points = rng.uniform(-1.0, 4.0, (4, 500))
+    for model, formula in ((pf.product_pair(a, b), product), (pf.entangled_pair(a, b), entangled)):
+        assert isinstance(model, pf.ModeSum)
+        for new, old in zip(model.fields(*points), formula(*points)):
+            assert np.array_equal(new, old)
+        for point in points.T.tolist():
+            assert repr(model.fields(*point)) == repr(formula(*point))
+
+
+def test_mode_sum_terms_share_one_well():
+    m1, m2 = pf.box_mode(1, L, 1.0), pf.box_mode(2, L, 1.0)
+    with pytest.raises(ValueError, match="at least one term"):
+        pf.ModeSum(())
+    for odd in (pf.box_mode(3, 2.0, 1.0), pf.box_mode(3, L, 0.5)):
+        for terms in (((m1, odd),), ((odd, m1),), ((m1, m2), (m2, m1), (m1, odd))):
+            with pytest.raises(ValueError, match="factor states live in different wells"):
+                pf.ModeSum(terms)
+
+
+def test_three_term_state_solves_each_field_equation():
+    state = _three_term_state()
+    for q in (pf.ConfigPoint(0.9, 0.37, 2.2, -0.41), pf.ConfigPoint(1.3, 0.9, 2.1, 0.1)):
+        for i in (1, 2):
+            r1 = abs(pf.kg_residual(state, q, i, 1e-4))
+            r2 = abs(pf.kg_residual(state, q, i, 5e-5))
+            assert math.log2(r1 / r2) >= 1.9, (q, i, r1, r2)
+
+
+def test_three_term_ensemble_moves_and_reruns_identically():
+    """An equal-time ensemble of the three-term state moves; lockstep
+    members match their scalar runs, and reruns repeat every bit."""
+    state = _three_term_state()
+    starts = pf.sample_hyperplane(state, 100, "uniform", seed=3)
+    runs = [list(pf.integrate(state, starts, 0.01, 300, "midpoint")) for _ in range(2)]
+    assert repr([traj.rows for traj in runs[0]]) == repr([traj.rows for traj in runs[1]])
+    assert all(traj.completed for traj in runs[0])
+    moves = [max(abs(row[k] - traj.rows[0][k]) for row in traj.rows for k in (0, 2))
+             for traj in runs[0]]
+    assert max(moves) > 0.0
+
+    offset = [pf.ConfigPoint(1.0, 1.0, 2.0, 0.0), pf.ConfigPoint(0.9, -0.3, 2.2, 0.6)]
+    for scheme in ("euler", "midpoint"):
+        for q0, batched in zip(offset + starts[:8],
+                               pf.integrate(state, offset + starts[:8], 0.01, 300, scheme)):
+            single = pf.integrate(state, q0, 0.01, 300, scheme)
+            assert batched.termination == single.termination
+            assert len(batched.rows) == len(single.rows)
+            for b, s in zip(batched.rows, single.rows):
+                assert b == pytest.approx(s, rel=1e-12, abs=1e-12)

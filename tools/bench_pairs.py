@@ -5,7 +5,8 @@ Usage (from the repository root):
     python3 tools/bench_pairs.py --parent HEAD~1 --pairs 10 --seconds 25 \\
         --workload simulate-desync --seed 2101
 
-Checks PARENT out into a temporary ``git worktree`` and runs
+Exports PARENT into a temporary directory with ``git archive`` (the
+export function of ``output_identity.py``) and runs
 ``bench/run_bench.py`` alternately there and in this checkout, working
 tree included: one run per side and workload in each pair.  Pair i gives
 both sides seed SEED + i, and which side runs first alternates from pair
@@ -21,8 +22,8 @@ checkout.
 
 The exit code is 1 as soon as a run exits non-zero (its output is shown
 and the remaining runs are skipped), 2 for bad arguments or a ref git
-cannot check out, and 0 otherwise, flags or not.  The worktree is
-removed in every case.
+cannot export, and 0 otherwise, flags or not.  The temporary directory
+is removed in every case.
 """
 
 from __future__ import annotations
@@ -38,6 +39,11 @@ from dataclasses import dataclass
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+# tools/ is on the path when this file runs as a script, not when it is
+# loaded from its path by an importer.
+sys.path.insert(0, str(ROOT / "tools"))
+
+from output_identity import export_ref  # noqa: E402
 
 
 @dataclass(frozen=True)
@@ -123,10 +129,6 @@ def format_rows(rows: list[Row]) -> str:
     )
 
 
-def _git(*args: str) -> subprocess.CompletedProcess:
-    return subprocess.run(["git", "-C", str(ROOT), *args], capture_output=True, text=True)
-
-
 def _bench(tree: Path, workload: str, seed: int, seconds: float, trace: int):
     cmd = [sys.executable, "bench/run_bench.py", "--workload", workload, "--seed", str(seed),
            "--seconds", repr(seconds), "--trace", str(trace)]
@@ -174,22 +176,18 @@ def main(argv: list[str] | None = None) -> int:
         return 2
 
     scratch = Path(tempfile.mkdtemp(prefix="bench-pairs-"))
-    parent_tree = scratch / "parent"
-    added = _git("worktree", "add", "--detach", str(parent_tree), args.parent)
     try:
-        if added.returncode != 0:
-            print(f"bench_pairs: cannot check out {args.parent!r}: {added.stderr.strip()}",
-                  file=sys.stderr)
+        parent_tree = scratch / "parent"
+        error = export_ref(args.parent, parent_tree)
+        if error is not None:
+            print(f"bench_pairs: cannot export {args.parent!r}: {error}", file=sys.stderr)
             return 2
         runs = run_pairs(parent_tree, args.workload or names, args.pairs, args.seed,
                          args.seconds, args.trace)
         if runs is None:
             return 1
     finally:
-        if added.returncode == 0:
-            _git("worktree", "remove", "--force", str(parent_tree))
         shutil.rmtree(scratch, ignore_errors=True)
-        _git("worktree", "prune")
     print(f"parent {args.parent}, {args.pairs} pairs of {args.seconds:g} s, "
           f"seeds {args.seed}-{args.seed + args.pairs - 1}, trace {args.trace}")
     print(format_rows(summarize(runs, spec)))

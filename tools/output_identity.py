@@ -97,6 +97,21 @@ def compare_trees(parent: Path, change: Path) -> list[str]:
     return lines
 
 
+def export_ref(ref: str, dest: Path, repo: Path = ROOT) -> str | None:
+    """Write the files of ``repo`` at git ref ``ref`` into the new directory
+    ``dest``; returns None, or git's message when it cannot export ``ref``.
+
+    ``git archive`` adds nothing to the repository's ``.git``, so a run
+    killed halfway leaves nothing there to prune.
+    """
+    archive = subprocess.run(["git", "-C", str(repo), "archive", ref], capture_output=True)
+    if archive.returncode != 0:
+        return archive.stderr.decode().strip()
+    dest.mkdir()
+    subprocess.run(["tar", "-x", "-C", str(dest)], input=archive.stdout, check=True)
+    return None
+
+
 def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--parent", default="HEAD", help="git ref to compare against (default HEAD)")
@@ -105,14 +120,10 @@ def main(argv: list[str] | None = None) -> int:
     scratch = Path(tempfile.mkdtemp(prefix="output-identity-"))
     try:
         parent_tree = scratch / "parent"
-        parent_tree.mkdir()
-        archive = subprocess.run(["git", "-C", str(ROOT), "archive", args.parent],
-                                 capture_output=True)
-        if archive.returncode != 0:
-            print(f"output_identity: cannot export {args.parent!r}: "
-                  f"{archive.stderr.decode().strip()}", file=sys.stderr)
+        error = export_ref(args.parent, parent_tree)
+        if error is not None:
+            print(f"output_identity: cannot export {args.parent!r}: {error}", file=sys.stderr)
             return 2
-        subprocess.run(["tar", "-x", "-C", str(parent_tree)], input=archive.stdout, check=True)
         run_side(parent_tree, scratch / "parent-results")
         run_side(ROOT, scratch / "change-results")
         differences = compare_trees(scratch / "parent-results", scratch / "change-results")
