@@ -28,10 +28,12 @@ print(f"steps compared     : {len(comp.per_step_deviation) - 1}")
 print(f"max frame deviation: {comp.max_deviation:.3e}")
 
 # halving epsilon changes nothing: the deviation is rounding noise, not a
-# truncation error, so there is no order to extract
-for scheme in ("euler", "midpoint"):
+# truncation error, so there is no order to extract.  The midpoint study
+# reads its epsilon = 0.01 entry from the 500-step comparison above.
+for scheme, done in (("euler", None), ("midpoint", comp)):
     report = pf.convergence_study(model, start, alpha, (0.02, 0.01, 0.005),
-                                  total_proper_time=2.0, scheme=scheme)
+                                  total_proper_time=2.0, scheme=scheme,
+                                  comparison=done)
     devs = ", ".join(f"{d:.2e}" for d in report.deviations)
     order = "n/a (below rounding floor)" if report.fitted_order is None \
         else f"{report.fitted_order:.2f}"

@@ -282,15 +282,16 @@ def load_config(
     epsilon = get("run", "epsilon")
     n_steps = get("run", "steps")
     scheme = get("run", "scheme", DEFAULT_SCHEME)
-    if scheme_override is not None:
-        scheme = scheme_override
-        echo.append(f"override.scheme = {scheme_override}")
     check(epsilon > 0.0, "run", "epsilon", "must be > 0")
     check(n_steps >= 1, "run", "steps", "must be >= 1")
-    bad_scheme = f"must be one of {', '.join(SCHEMES)}, got {scheme!r}"
-    if scheme_override is not None and scheme not in SCHEMES:
-        raise ConfigError(f"--scheme: {bad_scheme}")
-    check(scheme in SCHEMES, "run", "scheme", bad_scheme)
+    one_of = f"must be one of {', '.join(SCHEMES)}, got"
+    # The file's value is checked even when --scheme replaces it.
+    check(scheme in SCHEMES, "run", "scheme", f"{one_of} {scheme!r}")
+    if scheme_override is not None:
+        if scheme_override not in SCHEMES:
+            raise ConfigError(f"--scheme: {one_of} {scheme_override!r}")
+        scheme = scheme_override
+        echo.append(f"override.scheme = {scheme_override}")
 
     boost_rapidity = None
     epsilons = None
@@ -567,7 +568,8 @@ def cmd_covariance(cfg: RunConfig) -> int:
     write("comparison.csv", comparison_csv(comp, cfg))
     if cfg.epsilons is not None:
         report = convergence_study(
-            model, cfg.q0, cfg.boost, cfg.epsilons, cfg.total_proper_time, cfg.scheme
+            model, cfg.q0, cfg.boost, cfg.epsilons, cfg.total_proper_time, cfg.scheme,
+            comparison=comp,
         )
         write("convergence.csv", convergence_csv(report, cfg))
     return 0

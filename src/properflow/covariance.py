@@ -15,12 +15,19 @@ coordinate-time steps (dt = epsilon, dz = v epsilon) deviate by about
 0.38 at every epsilon of the acceptance study, a fitted order of -0.00.
 The convergence study reports an order only when some deviation clears
 the floor.
+
+A run stops only at its step count, so the run at epsilon with n steps is
+bit for bit the first n steps of a longer run at the same epsilon.  The
+study therefore takes the deviation at a handed-over comparison's
+epsilon from that comparison's first n + 1 records instead of
+integrating both frames again; the comparison names the run it compared,
+so one of another run is refused.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from ._numpy import np
 from .errors import ComparisonFailure
@@ -38,7 +45,9 @@ class FrameComparison:
 
     per_step_deviation holds, for each sigma index, the larger of the two
     particles' Euclidean coordinate distances; per_particle_deviation
-    keeps the (particle 1, particle 2) split for diagnostics.
+    keeps the (particle 1, particle 2) split for diagnostics.  model, q0
+    and scheme name the run that was compared; the model is left out of
+    ``==`` and ``repr``, where a model has no value of its own.
     """
 
     alpha: Rapidity
@@ -46,6 +55,9 @@ class FrameComparison:
     max_deviation: float
     per_step_deviation: tuple[float, ...]
     per_particle_deviation: tuple[tuple[float, float], ...]
+    model: WaveModel | None = field(default=None, compare=False, repr=False)
+    q0: ConfigPoint | None = None
+    scheme: str | None = None
 
 
 @dataclass(frozen=True)
@@ -109,6 +121,9 @@ def compare_frames(
         max_deviation=max(per_step),
         per_step_deviation=tuple(per_step),
         per_particle_deviation=tuple(per_particle),
+        model=model,
+        q0=q0,
+        scheme=scheme,
     )
 
 
@@ -132,13 +147,29 @@ def convergence_study(
     epsilons: list[float] | tuple[float, ...],
     total_proper_time: float,
     scheme: Scheme = DEFAULT_SCHEME,
+    *,
+    comparison: FrameComparison | None = None,
 ) -> ConvergenceReport:
     """Fit the frame-deviation order over a strictly decreasing epsilon list.
 
     Each epsilon must divide the total proper time to rounding accuracy;
     the step count is round(T / epsilon).  With every deviation under the
     rounding floor the order is reported as None (not applicable).
+
+    ``comparison``, a ``compare_frames`` result for this model (the same
+    object), start, boost and scheme, supplies the deviation at its
+    epsilon when it holds at least that epsilon's n steps: the maximum
+    over its first n + 1 records.  Any other epsilon is integrated.  A
+    comparison of another run is a ValueError.
     """
+    if comparison is not None and (
+        comparison.model is not model
+        or (comparison.q0, comparison.alpha, comparison.scheme) != (q0, alpha, scheme)
+    ):
+        raise ValueError(
+            "comparison is of another run: it must have the study's model, "
+            "start, boost and scheme"
+        )
     eps = tuple(float(e) for e in epsilons)
     if len(eps) < 3:
         raise ValueError(f"need at least 3 epsilon values, got {len(eps)}")
@@ -149,6 +180,13 @@ def convergence_study(
     counts = [step_count(e, total_proper_time) for e in eps]
     deviations = []
     for e, n in zip(eps, counts):
+        if (
+            comparison is not None
+            and comparison.epsilon == e
+            and len(comparison.per_step_deviation) > n
+        ):
+            deviations.append(max(comparison.per_step_deviation[: n + 1]))
+            continue
         try:
             comp = compare_frames(model, q0, alpha, e, n, scheme)
         except ComparisonFailure as err:

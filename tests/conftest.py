@@ -42,3 +42,19 @@ def moving_point():
 def probe_point():
     """Generic off-hyperplane probe used for frozen regression constants."""
     return pf.ConfigPoint(z1=0.9, t1=0.37, z2=2.2, t2=-0.41)
+
+
+@pytest.fixture
+def integrations(monkeypatch):
+    """(epsilon, n_steps) of every integration the frame comparison runs."""
+    from properflow import covariance
+
+    calls = []
+    real = covariance.integrate
+
+    def counting(model, q0, epsilon, n_steps, scheme):
+        calls.append((epsilon, n_steps))
+        return real(model, q0, epsilon, n_steps, scheme)
+
+    monkeypatch.setattr(covariance, "integrate", counting)
+    return calls

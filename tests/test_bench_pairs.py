@@ -1,8 +1,15 @@
-"""Summary of tools/bench_pairs.py on canned run_bench.py result lines."""
+"""tools/bench_pairs.py: its summary and failure records on canned
+run_bench.py results, and its cleanup when a signal stops it."""
 
+import contextlib
 import importlib.util
 import json
+import os
+import shutil
+import signal
+import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -74,3 +81,128 @@ def test_a_gain_inside_the_parent_spread_does_not_clear_it(tool):
     (row,) = tool.summarize(runs, SPEC)
     assert (row.wins, row.clears_iqr, row.worse) == (3, False, False)
     assert tool.quartiles([7.0]) == (7.0, 7.0, 7.0)
+
+
+def _proc(returncode, stdout="", stderr=""):
+    return subprocess.CompletedProcess([], returncode, stdout, stderr)
+
+
+def test_failed_runs_are_recorded_and_the_pairs_go_on(tool, monkeypatch, capsys):
+    """A failed run does not stop the pairs: a failed check keeps its
+    metrics in the table, a crash leaves its pair out, and both are
+    listed with their counts and first problems."""
+    checked = json.loads(_line(steps_per_s=90.0).splitlines()[-1])
+    checked.update(correct=False, attempted=900, failed=1)
+    problems = "".join(f"[covariance-boost] check failed: invocation {k}: deviation\n"
+                       for k in (85, 156, 300, 301))
+    canned = {
+        ("parent", 1): _proc(0, _line(steps_per_s=100.0)),
+        ("change", 1): _proc(0, _line(steps_per_s=120.0)),
+        ("change", 2): _proc(1, "metrics\n" + json.dumps(checked) + "\n", problems),
+        ("parent", 2): _proc(0, _line(steps_per_s=101.0)),
+        ("parent", 3): _proc(1, "", "Traceback\n  File x\nRuntimeError: worker exited with code 1\n"),
+        ("change", 3): _proc(0, _line(steps_per_s=121.0)),
+    }
+    order = []
+
+    def bench(tree, workload, seed, seconds, trace):
+        side = "change" if tree == tool.ROOT else "parent"
+        order.append((side, seed))
+        return canned[side, seed]
+
+    monkeypatch.setattr(tool, "_bench", bench)
+    runs, failures = tool.run_pairs(Path("parent-tree"), ["covariance-boost"], 3, 1, 1.0, 0)
+    assert order == [("parent", 1), ("change", 1), ("change", 2), ("parent", 2),
+                     ("parent", 3), ("change", 3)]
+    assert [(p["metrics"]["steps_per_s"]["value"], c["metrics"]["steps_per_s"]["value"])
+            for _, p, c in runs] == [(100.0, 120.0), (101.0, 90.0)]
+    checked_fail, crash = failures
+    assert (checked_fail.side, checked_fail.pair, checked_fail.seed) == ("change", 2, 2)
+    assert (checked_fail.exit_code, checked_fail.failed, checked_fail.attempted) == (1, 1, 900)
+    assert checked_fail.problems == tuple(
+        f"[covariance-boost] check failed: invocation {k}: deviation" for k in (85, 156, 300))
+    assert (crash.side, crash.seed, crash.failed, crash.attempted) == ("parent", 3, None, None)
+    assert crash.problems == ("Traceback", "File x", "RuntimeError: worker exited with code 1")
+    text = tool.format_failure(checked_fail).splitlines()
+    assert text[0] == ("FAILED change run of covariance-boost (pair 2, seed 2): "
+                       "exit 1, 1/900 invocations failed")
+    assert text[1] == "    [covariance-boost] check failed: invocation 85: deviation"
+    assert "exit 1, no result line" in tool.format_failure(crash)
+
+    monkeypatch.setattr(tool, "export_ref", lambda ref, dest: None)
+    capsys.readouterr()
+    handlers = {signum: signal.getsignal(signum) for signum in (signal.SIGTERM, signal.SIGINT)}
+    try:
+        assert tool.main(["--pairs", "3", "--workload", "covariance-boost", "--seconds", "1"]) == 1
+    finally:  # main installs its own
+        for signum, handler in handlers.items():
+            signal.signal(signum, handler)
+    out = capsys.readouterr().out
+    assert "1/2" in out.splitlines()[2]  # steps_per_s: 2 pairs summarised, 1 won
+    assert out.count("FAILED ") == 2
+
+
+# A harness that starts a grandchild, writes both pids and sleeps.
+STUB_RUN_BENCH = """
+import os, subprocess, sys, time
+child = subprocess.Popen([sys.executable, "-c", "import time; time.sleep(60)"])
+with open(os.path.join(os.environ["STUB_PIDS"], str(os.getpid())), "w") as f:
+    f.write(f"{os.getpid()} {child.pid}")
+time.sleep(60)
+"""
+
+
+def _alive(pid):
+    """Whether pid names a process that has not exited (a zombie has)."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except FileNotFoundError:
+        return False
+    except OSError:
+        try:
+            os.kill(pid, 0)
+        except ProcessLookupError:
+            return False
+        return True
+    return stat.rsplit(")", 1)[1].split()[0] != "Z"
+
+
+@pytest.mark.parametrize("signum", [signal.SIGTERM, signal.SIGINT], ids=["TERM", "INT"])
+def test_a_signal_kills_the_runs_and_removes_the_export(tmp_path, signum):
+    tree, pids, tmp = tmp_path / "tree", tmp_path / "pids", tmp_path / "tmp"
+    for d in (tree / "bench", tree / "tools", pids, tmp):
+        d.mkdir(parents=True)
+    (tree / "bench" / "run_bench.py").write_text(STUB_RUN_BENCH)
+    for name in ("bench_pairs.py", "output_identity.py"):
+        shutil.copy(TOOL.parent / name, tree / "tools" / name)
+    (tree / "BENCHMARK.json").write_text(json.dumps(
+        {"run_seconds": 1, "workloads": [{"name": "w"}], "end_to_end": [], "per_layer": []}))
+    git = ["git", "-C", str(tree), "-c", "user.name=t", "-c", "user.email=t@t"]
+    subprocess.run(git[:3] + ["init", "-q"], check=True)
+    subprocess.run(git + ["add", "-A"], check=True)
+    subprocess.run(git + ["commit", "-q", "-m", "stub"], check=True)
+    env = dict(os.environ, STUB_PIDS=str(pids), TMPDIR=str(tmp))
+    tool = subprocess.Popen([sys.executable, "tools/bench_pairs.py", "--pairs", "1"],
+                            cwd=tree, env=env, stdout=subprocess.DEVNULL,
+                            stderr=subprocess.PIPE)
+    started = []
+    try:
+        deadline = time.monotonic() + 30.0
+        while not started and time.monotonic() < deadline:
+            time.sleep(0.05)
+            started = [int(pid) for f in pids.iterdir() if f.read_text()
+                       for pid in f.read_text().split()]
+        assert len(started) == 2, "the stub harness did not start"
+        assert len(list(tmp.glob("bench-pairs-*"))) == 1
+        tool.send_signal(signum)
+        _, stderr = tool.communicate(timeout=30)
+        assert tool.returncode == 128 + signum, stderr
+        survivors = [pid for pid in started if _alive(pid)]
+        assert survivors == []
+        assert list(tmp.iterdir()) == []
+    finally:
+        tool.kill()
+        tool.communicate()
+        for pid in started:
+            with contextlib.suppress(ProcessLookupError):
+                os.kill(pid, signal.SIGKILL)

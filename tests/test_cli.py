@@ -519,3 +519,59 @@ def test_trajectory_rebuilt_from_records_writes_the_same_text(tmp_path, model, m
     cfg = cli.load_config(_write(tmp_path, FIG2), tmp_path / "out")
     assert cli.trajectory_csv(rebuilt, cfg) == cli.trajectory_csv(traj, cfg)
     assert cli.emit_svg(rebuilt) == cli.emit_svg(traj)
+
+
+@pytest.mark.parametrize("value", ["rk4", ""], ids=["unknown", "empty"])
+def test_scheme_override_does_not_hide_a_bad_file_scheme(tmp_path, capsys, value):
+    """The file's run.scheme is checked, with its line, before --scheme
+    replaces it."""
+    lines = FIG1.splitlines()
+    lineno = lines.index("scheme = midpoint") + 1
+    cfg = _write(tmp_path, FIG1.replace("scheme = midpoint", f"scheme = {value}".rstrip()))
+    out = tmp_path / "out"
+    assert cli.main(["simulate", "--config", cfg, "--out", str(out), "--scheme", "euler"]) == 2
+    assert capsys.readouterr().err == (
+        f"simulate: run.scheme (line {lineno}): must be one of euler, midpoint, got {value!r}\n"
+    )
+    assert not out.exists()
+
+
+def test_bad_scheme_override_names_the_flag(tmp_path):
+    with pytest.raises(cli.ConfigError, match="^--scheme: must be one of euler, midpoint, got 'rk4'$"):
+        cli.load_config(_write(tmp_path, FIG1), tmp_path / "out", scheme_override="rk4")
+
+
+# As in the covariance benchmark: 200 steps at epsilon = 0.01, and a study
+# whose epsilon = 0.01 run is the main run's first 100 steps.
+COVARIANCE_LIKE = FIG2.replace("steps = 60", "steps = 200") + """
+[boost]
+alpha = 1.2123
+epsilons = 0.02 0.01 0.005
+total_proper_time = 1.0
+"""
+
+
+def test_covariance_integrates_each_frame_and_step_size_once(tmp_path, integrations):
+    cfg = _write(tmp_path, COVARIANCE_LIKE)
+    assert cli.main(["covariance", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+    assert sorted(integrations) == [(0.005, 200)] * 2 + [(0.01, 200)] * 2 + [(0.02, 50)] * 2
+
+
+@pytest.mark.parametrize("scheme", ["euler", "midpoint"])
+@pytest.mark.parametrize("text", [COVARIANCE_LIKE, FIG2 + BOOST_BLOCK], ids=["handed", "short"])
+def test_covariance_handover_writes_the_same_bytes(tmp_path, monkeypatch, text, scheme):
+    """With the main comparison handed to the study or not, both files
+    are the same bytes."""
+    cfg = _write(tmp_path, text)
+    handed, plain = tmp_path / "handed", tmp_path / "plain"
+    argv = ["covariance", "--config", cfg, "--scheme", scheme, "--out"]
+    assert cli.main(argv + [str(handed)]) == 0
+    real = cli.convergence_study
+
+    def unhanded(*args, comparison):
+        return real(*args)
+
+    monkeypatch.setattr(cli, "convergence_study", unhanded)
+    assert cli.main(argv + [str(plain)]) == 0
+    assert set(_outputs(handed)) == {"comparison.csv", "convergence.csv"}
+    assert _outputs(handed) == _outputs(plain)

@@ -165,3 +165,63 @@ def test_nonpositive_epsilon_is_rejected(model, moving_point):
             pf.convergence_study(model, moving_point, BOOST, epsilons, 2.0)
     with pytest.raises(ValueError, match="epsilon must be positive"):
         step_count(0.0, 2.0)
+
+
+def test_study_reads_the_equal_epsilon_entry_from_a_comparison(model, moving_point, integrations):
+    """A run stops only at its step count, so the study's epsilon = 0.01
+    run is the first 200 steps of a 300-step comparison, bit for bit."""
+    epsilons = (0.02, 0.01, 0.005)
+    plain = pf.convergence_study(model, moving_point, BOOST, epsilons, 2.0, "midpoint")
+    comp = pf.compare_frames(model, moving_point, BOOST, 0.01, 300, "midpoint")
+    integrations.clear()
+    handed = pf.convergence_study(
+        model, moving_point, BOOST, epsilons, 2.0, "midpoint", comparison=comp
+    )
+    assert handed == plain
+    assert handed.deviations[1] == max(comp.per_step_deviation[:201])
+    assert sorted(integrations) == [(0.005, 400)] * 2 + [(0.02, 100)] * 2
+
+
+@pytest.mark.parametrize(
+    "epsilon, n_steps",
+    [(0.004, 500), (0.01, 199)],
+    ids=["another-epsilon", "too-short"],
+)
+def test_study_integrates_what_a_comparison_does_not_hold(
+    model, moving_point, integrations, epsilon, n_steps
+):
+    epsilons = (0.02, 0.01, 0.005)
+    plain = pf.convergence_study(model, moving_point, BOOST, epsilons, 2.0, "euler")
+    comp = pf.compare_frames(model, moving_point, BOOST, epsilon, n_steps, "euler")
+    integrations.clear()
+    handed = pf.convergence_study(
+        model, moving_point, BOOST, epsilons, 2.0, "euler", comparison=comp
+    )
+    assert handed == plain
+    assert sorted(integrations) == [(0.005, 400)] * 2 + [(0.01, 200)] * 2 + [(0.02, 100)] * 2
+
+
+def test_study_rejects_a_comparison_of_another_run(model, moving_point):
+    comp = pf.compare_frames(model, moving_point, BOOST, 0.01, 200, "midpoint")
+    twin = pf.entangled_pair(pf.box_mode(1, L, 1.0), pf.box_mode(2, L, 1.0))
+    others = {
+        "model": (twin, moving_point, BOOST, "midpoint"),
+        "start": (model, pf.ConfigPoint(1.0, 0.5, 2.0, 0.0), BOOST, "midpoint"),
+        "boost": (model, moving_point, pf.Rapidity(0.31), "midpoint"),
+        "scheme": (model, moving_point, BOOST, "euler"),
+    }
+    for args in others.values():
+        with pytest.raises(ValueError, match="comparison is of another run"):
+            pf.convergence_study(*args, (0.02, 0.01, 0.005), 2.0, comparison=comp)
+
+
+def test_comparison_keeps_its_run_but_compares_by_value(model, moving_point):
+    """The model is kept by identity for the study's check, and left out of
+    == and repr; start and scheme are part of the value."""
+    twin = pf.entangled_pair(pf.box_mode(1, L, 1.0), pf.box_mode(2, L, 1.0))
+    comp = pf.compare_frames(model, moving_point, BOOST, 0.01, 50, "midpoint")
+    again = pf.compare_frames(twin, moving_point, BOOST, 0.01, 50, "midpoint")
+    assert comp.model is model and again.model is twin
+    assert (comp.q0, comp.scheme) == (moving_point, "midpoint")
+    assert comp == again and hash(comp) == hash(again)
+    assert repr(comp) == repr(again) and "model" not in repr(comp)

@@ -20,17 +20,29 @@ parent's by more than its ``BENCHMARK.json`` bound is flagged ``WORSE``.
 Metric directions and bounds come from ``BENCHMARK.json`` in this
 checkout.
 
-The exit code is 1 as soon as a run exits non-zero (its output is shown
-and the remaining runs are skipped), 2 for bad arguments or a ref git
-cannot export, and 0 otherwise, flags or not.  The temporary directory
-is removed in every case.
+A run that exits non-zero (an output failed ``bench/check.py``, or a
+command or the harness crashed) does not stop the others.  It is listed
+after the table with its side, workload, pair, seed, exit code, failed
+and attempted invocations and its first problems, taken from its JSON
+last line and its stderr.  Its metrics still enter the table when it
+printed them; a pair and workload whose runs did not both print a result
+line is left out of it.
+
+The exit code is 1 when any run failed, 2 for bad arguments or a ref git
+cannot export, and 0 otherwise, flags or not.  Each run starts in its own
+session.  SIGTERM and SIGINT end the tool through its cleanup: the
+running harness and every process it started are killed, and the
+temporary directory is removed, as in every other case.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
+import os
 import shutil
+import signal
 import statistics
 import subprocess
 import sys
@@ -59,6 +71,25 @@ class Row:
     pairs: int
     clears_iqr: bool
     worse: bool
+
+
+@dataclass(frozen=True)
+class Failure:
+    """One run that exited non-zero; failed and attempted are None when it
+    printed no result line."""
+
+    workload: str
+    side: str
+    pair: int
+    seed: int
+    exit_code: int
+    failed: int | None
+    attempted: int | None
+    problems: tuple[str, ...]
+
+
+# Problems kept per failed run.
+PROBLEMS_KEPT = 3
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -129,16 +160,50 @@ def format_rows(rows: list[Row]) -> str:
     )
 
 
-def _bench(tree: Path, workload: str, seed: int, seconds: float, trace: int):
+def failure(workload: str, side: str, pair: int, seed: int,
+            proc: subprocess.CompletedProcess, result: dict | None) -> Failure:
+    """What a non-zero run reports: counts from its result line, if it
+    printed one, and its first ``check failed`` lines, or its last stderr
+    lines when it has none (a traceback's end)."""
+    failed, attempted = (result["failed"], result["attempted"]) if result else (None, None)
+    lines = [line.strip() for line in proc.stderr.strip().splitlines()]
+    problems = [line for line in lines if "check failed:" in line] or lines[-PROBLEMS_KEPT:]
+    return Failure(workload, side, pair, seed, proc.returncode, failed, attempted,
+                   tuple(problems[:PROBLEMS_KEPT]))
+
+
+def format_failure(f: Failure) -> str:
+    """One failed run as a headline and its problems, indented."""
+    counts = "no result line" if f.attempted is None else (
+        f"{f.failed}/{f.attempted} invocations failed")
+    head = (f"FAILED {f.side} run of {f.workload} (pair {f.pair}, seed {f.seed}): "
+            f"exit {f.exit_code}, {counts}")
+    return "\n".join([head] + [f"    {problem}" for problem in f.problems])
+
+
+def _bench(tree: Path, workload: str, seed: int, seconds: float,
+           trace: int) -> subprocess.CompletedProcess:
+    """One run_bench.py run in ``tree``, in a session of its own; if it is
+    interrupted, its whole process group is killed before this returns."""
     cmd = [sys.executable, "bench/run_bench.py", "--workload", workload, "--seed", str(seed),
            "--seconds", repr(seconds), "--trace", str(trace)]
-    return subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
+    proc = subprocess.Popen(cmd, cwd=tree, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            text=True, start_new_session=True)
+    try:
+        stdout, stderr = proc.communicate()
+    finally:
+        if proc.returncode is None:
+            with contextlib.suppress(ProcessLookupError):
+                os.killpg(proc.pid, signal.SIGKILL)
+            proc.wait()
+    return subprocess.CompletedProcess(cmd, proc.returncode, stdout, stderr)
 
 
-def run_pairs(parent_tree: Path, workloads: list[str], pairs: int, seed: int,
-              seconds: float, trace: int) -> list[tuple[str, dict, dict]] | None:
-    """(workload, parent, change) result lines, or None after a failed run."""
-    runs = []
+def run_pairs(parent_tree: Path, workloads: list[str], pairs: int, seed: int, seconds: float,
+              trace: int) -> tuple[list[tuple[str, dict, dict]], list[Failure]]:
+    """(workload, parent, change) result lines of every pair and workload
+    where both sides printed one, and every run that exited non-zero."""
+    runs, failures = [], []
     for i in range(pairs):
         sides = [("parent", parent_tree), ("change", ROOT)]
         if i % 2:
@@ -147,16 +212,24 @@ def run_pairs(parent_tree: Path, workloads: list[str], pairs: int, seed: int,
             result = {}
             for side, tree in sides:
                 proc = _bench(tree, workload, seed + i, seconds, trace)
+                try:
+                    result[side] = result_line(proc.stdout)
+                except (ValueError, IndexError):  # a crash: no result line
+                    pass
                 if proc.returncode != 0:
-                    print(f"bench_pairs: {side} run of {workload} (pair {i + 1}, seed {seed + i}) "
-                          f"exited {proc.returncode}", file=sys.stderr)
-                    print(proc.stdout[-4000:] + proc.stderr[-4000:], file=sys.stderr)
-                    return None
-                result[side] = result_line(proc.stdout)
-                print(f"pair {i + 1}/{pairs} {workload} {side}: seed {seed + i}, "
-                      f"{result[side]['attempted']} invocations", file=sys.stderr)
-            runs.append((workload, result["parent"], result["change"]))
-    return runs
+                    failures.append(
+                        failure(workload, side, i + 1, seed + i, proc, result.get(side)))
+                    print(format_failure(failures[-1]), file=sys.stderr)
+                elif side in result:
+                    print(f"pair {i + 1}/{pairs} {workload} {side}: seed {seed + i}, "
+                          f"{result[side]['attempted']} invocations", file=sys.stderr)
+            if len(result) == 2:
+                runs.append((workload, result["parent"], result["change"]))
+    return runs, failures
+
+
+def _stop(signum, frame):
+    raise SystemExit(128 + signum)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -175,6 +248,10 @@ def main(argv: list[str] | None = None) -> int:
         print("bench_pairs: --pairs and --seconds must be positive", file=sys.stderr)
         return 2
 
+    # A signal raises SystemExit, so the finally clauses below and in
+    # _bench run: the harness is killed and the export removed.
+    for signum in (signal.SIGTERM, signal.SIGINT):
+        signal.signal(signum, _stop)
     scratch = Path(tempfile.mkdtemp(prefix="bench-pairs-"))
     try:
         parent_tree = scratch / "parent"
@@ -182,16 +259,16 @@ def main(argv: list[str] | None = None) -> int:
         if error is not None:
             print(f"bench_pairs: cannot export {args.parent!r}: {error}", file=sys.stderr)
             return 2
-        runs = run_pairs(parent_tree, args.workload or names, args.pairs, args.seed,
-                         args.seconds, args.trace)
-        if runs is None:
-            return 1
+        runs, failures = run_pairs(parent_tree, args.workload or names, args.pairs, args.seed,
+                                   args.seconds, args.trace)
     finally:
         shutil.rmtree(scratch, ignore_errors=True)
     print(f"parent {args.parent}, {args.pairs} pairs of {args.seconds:g} s, "
           f"seeds {args.seed}-{args.seed + args.pairs - 1}, trace {args.trace}")
     print(format_rows(summarize(runs, spec)))
-    return 0
+    for f in failures:
+        print(format_failure(f))
+    return 1 if failures else 0
 
 
 if __name__ == "__main__":
