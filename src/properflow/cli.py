@@ -48,8 +48,7 @@ from __future__ import annotations
 import math
 import os
 import sys
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import ComparisonFailure, FlowError, LightlikeVelocityError, SamplingError
@@ -90,25 +89,15 @@ class RunConfig:
     epsilons: tuple[float, ...] | None = None
     total_proper_time: float | None = None
     ensemble: EnsembleSpec | None = None
-    echo: tuple[str, ...] = field(default=())
-
-    @cached_property
-    def echo_header(self) -> str:
-        """The config echo as ``#`` comment lines that open every output
-        file; built once per config, not once per file."""
-        return "".join(f"# {line}\n" for line in self.echo)
+    # The config echo as the ``#`` comment lines that open every output file.
+    echo_header: str = ""
 
 
-@dataclass(frozen=True)
-class PlotSpec:
-    """World-line plot layout: one panel per listed particle, z running
-    horizontally and t vertically, sigma-index labels every ``label_stride``
-    records."""
-
-    particles: tuple[int, ...] = (1, 2)
-    label_stride: int = 10
-    width: int = 880
-    height: int = 460
+# World-line plot layout: a panel per particle, z running horizontally and
+# t vertically, sigma-index labels every PLOT_LABEL_STRIDE records.
+PLOT_WIDTH, PLOT_HEIGHT = 880, 460
+PLOT_LABEL_STRIDE = 10
+PLOT_PARTICLES = (1, 2)
 
 
 def _number(text: str) -> float:
@@ -354,7 +343,7 @@ def load_config(
         epsilons=epsilons,
         total_proper_time=total_proper_time,
         ensemble=ensemble,
-        echo=tuple(echo),
+        echo_header="".join(f"# {line}\n" for line in echo),
     )
 
 
@@ -414,26 +403,22 @@ def trajectory_csv(traj: Trajectory, cfg: RunConfig) -> str:
     return cfg.echo_header + "\n".join(lines) + "\n"
 
 
-def emit_svg(traj: Trajectory, spec: PlotSpec | None = None) -> str:
-    """Standalone SVG with one world-line panel per particle.
+def emit_svg(traj: Trajectory) -> str:
+    """Standalone 880 x 460 SVG with two world-line panels, particle 1's
+    and then particle 2's.
 
-    Position runs horizontally, coordinate time vertically; every
-    ``label_stride``-th record carries its integer sigma index on both
-    world lines.  A single-record trajectory is drawn as labeled points
-    with no polyline.
+    Position runs horizontally, coordinate time vertically; every 10th
+    record, from the first, carries its integer sigma index on both world
+    lines.  A single-record trajectory is drawn as labeled points with no
+    polyline.
     """
-    spec = spec or PlotSpec()
-    if spec.label_stride < 1:
-        raise ValueError(f"label_stride must be >= 1, got {spec.label_stride!r}")
-    if not spec.particles:
-        raise ValueError("cannot plot without a particle panel")
     if not traj.rows:
         raise ValueError("cannot plot an empty trajectory")
     margin = 54.0
-    n_panels = len(spec.particles)
-    panel_w = (spec.width - margin * (n_panels + 1)) / n_panels
-    panel_h = spec.height - 2 * margin
-    w, h = spec.width, spec.height
+    n_panels = len(PLOT_PARTICLES)
+    w, h = PLOT_WIDTH, PLOT_HEIGHT
+    panel_w = (w - margin * (n_panels + 1)) / n_panels
+    panel_h = h - 2 * margin
     parts = [
         '<?xml version="1.0" encoding="UTF-8"?>\n'
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{w}" height="{h}" viewBox="0 0 {w} {h}">'
@@ -442,7 +427,7 @@ def emit_svg(traj: Trajectory, spec: PlotSpec | None = None) -> str:
     # A ConfigPoint of whole coordinate columns: ``particle`` picks a
     # particle's (ts, zs) and rejects any other index, as for one point.
     world_lines = ConfigPoint(*tuple(zip(*traj.rows))[:4])
-    for panel, particle in enumerate(spec.particles):
+    for panel, particle in enumerate(PLOT_PARTICLES):
         ts, zs = world_lines.particle(particle)
         x0 = margin + panel * (panel_w + margin)
         y0 = margin
@@ -475,7 +460,7 @@ def emit_svg(traj: Trajectory, spec: PlotSpec | None = None) -> str:
             parts.append(
                 f'<polyline points="{pts}" fill="none" stroke="#1f5fa8" stroke-width="1.5" />'
             )
-        for j in range(0, len(traj.rows), spec.label_stride):
+        for j in range(0, len(traj.rows), PLOT_LABEL_STRIDE):
             x, y = sx(zs[j]), sy(ts[j])
             parts.append(
                 f'<circle cx="{x:.3f}" cy="{y:.3f}" r="2.2" fill="#b03030" />'
@@ -485,16 +470,14 @@ def emit_svg(traj: Trajectory, spec: PlotSpec | None = None) -> str:
     return "".join(parts)
 
 
-def ensemble_summary_csv(
-    cfg: RunConfig, members: list[tuple[ConfigPoint, Trajectory]]
-) -> str:
+def ensemble_summary_csv(cfg: RunConfig, members: list[Trajectory]) -> str:
+    """One line per member: its start (its first row), termination, final
+    sigma and final point."""
     lines = ["member,z1_0,t1_0,z2_0,t2_0,termination,sigma_final,z1_f,t1_f,z2_f,t2_f"]
     row = "%d,%.17g,%.17g,%.17g,%.17g,%s,%.17g,%.17g,%.17g,%.17g,%.17g"
-    for k, (q0, traj) in enumerate(members):
+    for k, traj in enumerate(members):
         sigma = (len(traj.rows) - 1) * traj.epsilon
-        lines.append(row % (
-            k, q0.z1, q0.t1, q0.z2, q0.t2, traj.termination, sigma, *traj.rows[-1][:4]
-        ))
+        lines.append(row % (k, *traj.rows[0][:4], traj.termination, sigma, *traj.rows[-1][:4]))
     return cfg.echo_header + "\n".join(lines) + "\n"
 
 
@@ -544,10 +527,10 @@ def cmd_ensemble(cfg: RunConfig) -> int:
     # raises when reached, after the members before it are written.
     trajectories = integrate(model, points, cfg.epsilon, cfg.n_steps, cfg.scheme)
     write = _writer(cfg.out_dir)
-    members: list[tuple[ConfigPoint, Trajectory]] = []
+    members: list[Trajectory] = []
     exit_code = 0
-    for k, (q0, traj) in enumerate(zip(points, trajectories)):
-        members.append((q0, traj))
+    for k, traj in enumerate(trajectories):
+        members.append(traj)
         write(f"member_{k:03d}.csv", trajectory_csv(traj, cfg))
         if exit_code == 0 and not traj.completed:
             exit_code = traj.exit_code
@@ -575,6 +558,14 @@ def cmd_covariance(cfg: RunConfig) -> int:
     return 0
 
 
+# command -> (help, handler)
+COMMANDS = {
+    "simulate": ("integrate one trajectory and write CSV + SVG", cmd_simulate),
+    "ensemble": ("integrate an ensemble from sampled hyperplane points", cmd_ensemble),
+    "covariance": ("compare trajectories across boosted frames", cmd_covariance),
+}
+
+
 def main(argv: list[str] | None = None) -> int:
     import argparse
 
@@ -583,27 +574,18 @@ def main(argv: list[str] | None = None) -> int:
         description="Equal-proper-time flow trajectories for entangled two-particle states.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, blurb in (
-        ("simulate", "integrate one trajectory and write CSV + SVG"),
-        ("ensemble", "integrate an ensemble from sampled hyperplane points"),
-        ("covariance", "compare trajectories across boosted frames"),
-    ):
+    for name, (blurb, _) in COMMANDS.items():
         cmd = sub.add_parser(name, help=blurb)
         cmd.add_argument("--config", required=True, type=Path, help="run configuration file")
         cmd.add_argument("--out", required=True, type=Path, help="output directory")
         cmd.add_argument("--scheme", choices=SCHEMES, help="override run.scheme")
         cmd.add_argument("--seed", type=int, help="override ensemble.seed")
     args = parser.parse_args(argv)
-    handlers = {
-        "simulate": cmd_simulate,
-        "ensemble": cmd_ensemble,
-        "covariance": cmd_covariance,
-    }
     try:
         cfg = load_config(
             args.config, args.out, scheme_override=args.scheme, seed_override=args.seed
         )
-        return handlers[args.command](cfg)
+        return COMMANDS[args.command][1](cfg)
     except (ConfigError, FlowError, ComparisonFailure, SamplingError) as err:
         print(f"{args.command}: {err}", file=sys.stderr)
         return err.exit_code

@@ -1,11 +1,13 @@
 """Equal-proper-time trajectory integration and hyperplane sampling.
 
 Each iteration evaluates both particles' eigenflow velocities at the
-current configuration and advances every particle by the same proper-time
-increment epsilon along its own flow direction, so particle i moves by
-(dt, dz) = epsilon (cosh a_i, sinh a_i).  Both schemes are stage-wise
-proper-time steps: euler uses the velocities at the current point,
-midpoint re-evaluates them at the half-step epsilon/2 before advancing.
+current configuration and advances every particle by the same signed
+proper-time step h along its own flow, so particle i moves by
+(dt, dz) = h (cosh a_i, sinh a_i).  A run forward takes h = epsilon and
+``reverse_check``'s run backward h = -epsilon; negating h negates every
+increment exactly.  Both schemes are stage-wise proper-time steps: euler
+uses the velocities at the current point, midpoint re-evaluates them at
+the half-step h/2 before advancing.
 
 Evaluation failures (node proximity, degenerate eigenstructure, leaving
 the well) do not propagate out of ``integrate``; the partial trajectory is
@@ -205,17 +207,17 @@ def _array_flows(model: WaveModel, z1, t1, z2, t2):
     return v[:n], lam[:n], v[n:], lam[n:], fault
 
 
-def _displace(q, v1, v2, epsilon, d):
-    """q = (z1, t1, z2, t2) after each particle's null step of proper time
-    epsilon, forward (d = 1) or backward (d = -1); floats or arrays."""
+def _displace(q, v1, v2, h):
+    """q = (z1, t1, z2, t2) after each particle's null step of signed proper
+    time h, forward for h > 0 and backward for h < 0; floats or arrays."""
     z1, t1, z2, t2 = q
-    _, _, dt1, dz1 = null_step(v1, epsilon)
-    _, _, dt2, dz2 = null_step(v2, epsilon)
-    return z1 + d * dz1, t1 + d * dt1, z2 + d * dz2, t2 + d * dt2
+    _, _, dt1, dz1 = null_step(v1, h)
+    _, _, dt2, dz2 = null_step(v2, h)
+    return z1 + dz1, t1 + dt1, z2 + dz2, t2 + dt2
 
 
-def _advance(flows, model, q, v1, v2, epsilon, scheme, d):
-    """(q one step on, midpoint stage's fault) from q = (z1, t1, z2, t2) with
+def _advance(flows, model, q, v1, v2, h, scheme):
+    """(q after the signed step h, midpoint stage's fault) from q with
     velocities v1, v2 there; flows is ``_flows`` or ``_array_flows``.
 
     euler steps along v1, v2; midpoint along the velocities at the half
@@ -223,8 +225,8 @@ def _advance(flows, model, q, v1, v2, epsilon, scheme, d):
     """
     fault = 0
     if scheme == "midpoint":
-        v1, _, v2, _, fault = flows(model, *_displace(q, v1, v2, 0.5 * epsilon, d))
-    return _displace(q, v1, v2, epsilon, d), fault
+        v1, _, v2, _, fault = flows(model, *_displace(q, v1, v2, 0.5 * h))
+    return _displace(q, v1, v2, h), fault
 
 
 def _integer(value, name: str, least: int = 1) -> int:
@@ -258,38 +260,39 @@ def step(
     scheme: Scheme = DEFAULT_SCHEME,
     direction: int = 1,
 ) -> ConfigPoint:
-    """One equal-proper-time step of both particles from q."""
+    """One equal-proper-time step of both particles from q, forward for
+    direction 1 and backward for -1: the signed step direction * epsilon."""
     _check_run_args(epsilon, 1, scheme)
     if direction not in (1, -1):
         raise ValueError(f"direction must be +1 or -1, got {direction!r}")
     start = (float(q.z1), float(q.t1), float(q.z2), float(q.t2))
     v1, _, v2, _, _ = _flows(model, *start)
-    reached, _ = _advance(_flows, model, start, v1, v2, epsilon, scheme, float(direction))
+    reached, _ = _advance(_flows, model, start, v1, v2, direction * epsilon, scheme)
     if not model.contains(*reached):
         raise BoundaryError(f"step left the well region at {ConfigPoint(*reached)}")
     return ConfigPoint(*reached)
 
 
 def _integrate(
-    model: WaveModel, q0: ConfigPoint, epsilon: float, n_steps: int, scheme: str, direction: int
+    model: WaveModel, q0: ConfigPoint, h: float, n_steps: int, scheme: str
 ) -> Trajectory:
+    """The float loop: n_steps signed steps h from q0; epsilon is |h|."""
     rows = []
     end = "completed"
     q = (float(q0.z1), float(q0.t1), float(q0.z2), float(q0.t2))
-    d = float(direction)
     for j in range(n_steps + 1):
         try:
             v1, lam1, v2, lam2, _ = _flows(model, *q)
             rows.append(q + (v1, v2, lam1, lam2))
             if j == n_steps:
                 break
-            q, _ = _advance(_flows, model, q, v1, v2, epsilon, scheme, d)
+            q, _ = _advance(_flows, model, q, v1, v2, h, scheme)
         except FlowError as err:
             if not rows:
                 raise
             end = err.tag
             break
-    return Trajectory(epsilon, scheme, rows=rows, termination=end)
+    return Trajectory(abs(h), scheme, rows=rows, termination=end)
 
 
 def _lockstep(
@@ -314,14 +317,14 @@ def _lockstep(
             rows.append(q + (v1, v2, lam1, lam2))
             if j == n_steps or ended.all():
                 break
-            q, fault = _advance(_array_flows, model, q, v1, v2, epsilon, scheme, 1.0)
+            q, fault = _advance(_array_flows, model, q, v1, v2, epsilon, scheme)
             ended = np.where(ended, ended, fault)
     # [member, record, column], columns as in a Trajectory row.
     table = np.array(rows).transpose(2, 0, 1)
     for q0, member, count, end in zip(starts, table, counts.tolist(), ended.tolist()):
         if count == 0:
             # The start itself fails: the float chain raises its error.
-            yield _integrate(model, q0, epsilon, n_steps, scheme, direction=1)
+            yield _integrate(model, q0, epsilon, n_steps, scheme)
             continue
         yield Trajectory(
             epsilon, scheme, rows=member[:count].tolist(), termination=TERMINATIONS[end]
@@ -348,17 +351,18 @@ def integrate(
     """
     n_steps = _check_run_args(epsilon, n_steps, scheme)
     if isinstance(q0, ConfigPoint):
-        return _integrate(model, q0, epsilon, n_steps, scheme, direction=1)
+        return _integrate(model, q0, epsilon, n_steps, scheme)
     return _lockstep(model, tuple(q0), epsilon, n_steps, scheme)
 
 
 def reverse_check(model: WaveModel, traj: Trajectory) -> float:
     """Retrace a completed trajectory backward and report the worst miss.
 
-    Integrates from the final record with negated displacements
-    (-dt_i, -dz_i) for the same number of steps and returns the maximum
-    over steps and particles of the Euclidean distance to the forward
-    records.  Returns inf if the backward run aborts before finishing.
+    Integrates from the final record with the signed step -epsilon, whose
+    displacements are the negated (-dt_i, -dz_i), for the same number of
+    steps and returns the maximum over steps and particles of the
+    Euclidean distance to the forward records.  Returns inf if the
+    backward run aborts before finishing.
     """
     if not traj.completed:
         raise ValueError(f"reverse check needs a completed trajectory, got {traj.termination!r}")
@@ -366,7 +370,7 @@ def reverse_check(model: WaveModel, traj: Trajectory) -> float:
     if n == 0:
         return 0.0
     start = ConfigPoint(*traj.rows[-1][:4])
-    back = _integrate(model, start, traj.epsilon, n, traj.scheme, direction=-1)
+    back = _integrate(model, start, -traj.epsilon, n, traj.scheme)
     if not back.completed or len(back.rows) != n + 1:
         return math.inf
     worst = 0.0

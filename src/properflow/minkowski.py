@@ -12,9 +12,10 @@ moving with velocity +tanh(a), so a particle at rest acquires coordinate
 velocity -tanh(a).  Null coordinates diagonalize it, picking up the factors
 e^{-a} (on v) and e^{+a} (on u).
 
-``null_step`` also takes an array of velocities: numpy then runs the same
-expressions elementwise, without the light-speed guard, which its array
-caller has already applied as a mask (``flow_entries``).
+``null_step`` is the unguarded kernel, for a float velocity or an array of
+them alike (numpy runs the same expressions elementwise): its callers pass
+velocities already held to the light-speed guard (``flow_entries``).  The
+public ``proper_step`` holds the guards, epsilon > 0 and then light speed.
 """
 
 from __future__ import annotations
@@ -82,15 +83,13 @@ def _require_subluminal(v: float) -> None:
 
 
 def _rapidity(v, array: bool = False):
-    """0.5 ln((1 + v) / (1 - v)); a float is held to the light-speed guard
-    first, an array is not (its caller masks the guard)."""
-    if not array:
-        _require_subluminal(v)
+    """0.5 ln((1 + v) / (1 - v)), unguarded, of a float or an array."""
     return 0.5 * (np.log if array else math.log)((1.0 + v) / (1.0 - v))
 
 
 def rapidity_from_velocity(v: float) -> Rapidity:
     """Boost angle with tanh(alpha) = v; rejects |v| >= 1 - 1e-9."""
+    _require_subluminal(v)
     return Rapidity(_rapidity(v))
 
 
@@ -113,19 +112,17 @@ def velocity_addition(v: float, u: float) -> float:
     return (v + u) / (1.0 + v * u)
 
 
-def null_step(v, epsilon: float):
-    """Float kernel of ``proper_step``: (du, dv, dt, dz), same guards.
+def null_step(v, h: float):
+    """Unguarded kernel of ``proper_step``: (du, dv, dt, dz) of the signed
+    proper-time step h along v, a float or an array of velocities.
 
-    An array of velocities goes through the same expressions elementwise,
-    unguarded: entries at or beyond the light-speed guard give meaningless
-    steps, and the caller has masked them already.
+    Negating h negates all four increments exactly.  A velocity at or
+    beyond the light-speed guard gives a meaningless step.
     """
-    if not epsilon > 0.0:
-        raise ValueError(f"epsilon must be positive, got {epsilon!r}")
     array = not isinstance(v, float) and isinstance(v, np.ndarray)
     ea = (np.exp if array else math.exp)(_rapidity(v, array))
-    dv = epsilon * ea
-    du = epsilon / ea
+    dv = h * ea
+    du = h / ea
     return du, dv, 0.5 * (du + dv), 0.5 * (dv - du)
 
 
@@ -137,7 +134,11 @@ def proper_step(v: float, epsilon: float) -> tuple[NullStep, float, float]:
     sinh(alpha), where alpha is the rapidity of v.  The timelike interval
     of the step, dt**2 - dz**2 = du dv, equals epsilon**2 for every
     subluminal velocity; that equality is what keeps both particles'
-    clocks advancing by the same proper time per iteration.
+    clocks advancing by the same proper time per iteration.  Rejects a
+    non-positive epsilon (ValueError), then |v| >= 1 - 1e-9 or NaN.
     """
+    if not epsilon > 0.0:
+        raise ValueError(f"epsilon must be positive, got {epsilon!r}")
+    _require_subluminal(v)
     du, dv, dt, dz = null_step(v, epsilon)
     return NullStep(du=du, dv=dv, epsilon=epsilon), dt, dz

@@ -129,6 +129,16 @@ def test_failed_runs_are_recorded_and_the_pairs_go_on(tool, monkeypatch, capsys)
     assert text[1] == "    [covariance-boost] check failed: invocation 85: deviation"
     assert "exit 1, no result line" in tool.format_failure(crash)
 
+    assert tool.failed_invocations(checked_fail) == [85, 156, 300]
+    assert tool.failed_invocations(crash) == []
+
+    reruns = []
+
+    def rerun(parent_tree, workload, seed, k, scratch):
+        reruns.append((workload, seed, k))
+        return tool.Rerun(workload, seed, k, (1, 1), ())
+
+    monkeypatch.setattr(tool, "rerun", rerun)
     monkeypatch.setattr(tool, "export_ref", lambda ref, dest: None)
     capsys.readouterr()
     handlers = {signum: signal.getsignal(signum) for signum in (signal.SIGTERM, signal.SIGINT)}
@@ -140,6 +150,70 @@ def test_failed_runs_are_recorded_and_the_pairs_go_on(tool, monkeypatch, capsys)
     out = capsys.readouterr().out
     assert "1/2" in out.splitlines()[2]  # steps_per_s: 2 pairs summarised, 1 won
     assert out.count("FAILED ") == 2
+    # The checked failure's invocations are run again; the crash names none.
+    assert reruns == [("covariance-boost", 2, k) for k in (85, 156, 300)]
+    assert out.count("RE-RUN ") == 3
+
+
+# Stub sources for a tree's bench/workloads.py and properflow.cli: one
+# invocation per k that writes a file of its own and exits with code EXIT.
+STUB_WORKLOADS = """
+from dataclasses import dataclass
+
+@dataclass(frozen=True)
+class Invocation:
+    config_text: str
+
+    def argv(self, config_path, out_dir):
+        return ["simulate", "--config", str(config_path), "--out", str(out_dir)]
+
+def invocation(workload, seed, k):
+    return Invocation(f"[run]\\nk = {workload}/{seed}/{k}\\n")
+"""
+STUB_CLI = """
+import sys
+from pathlib import Path
+
+def main(argv):
+    config, out = Path(argv[2]), Path(argv[4])
+    out.mkdir()
+    (out / "trajectory.csv").write_text(config.read_text() + "ROW\\n")
+    print("simulate: terminated early: node_abort", file=sys.stderr)
+    return EXIT
+"""
+
+
+def _stub_tree(root, row="1,2", exit_code=3):
+    (root / "bench").mkdir(parents=True)
+    (root / "bench" / "workloads.py").write_text(STUB_WORKLOADS)
+    (root / "src" / "properflow").mkdir(parents=True)
+    (root / "src" / "properflow" / "__init__.py").write_text("")
+    (root / "src" / "properflow" / "cli.py").write_text(
+        STUB_CLI.replace("ROW", row).replace("EXIT", str(exit_code)))
+    return root
+
+
+def test_rerun_compares_both_trees_outputs(tool, tmp_path, monkeypatch):
+    """A failed invocation is run again in each tree, on that tree's own
+    workloads and sources, and the two results are compared byte for byte."""
+    change = _stub_tree(tmp_path / "change")
+    monkeypatch.setattr(tool, "ROOT", change)
+    same = tool.rerun(_stub_tree(tmp_path / "same"), "covariance-boost", 17006, 281,
+                      tmp_path / "a")
+    assert same == tool.Rerun("covariance-boost", 17006, 281, (3, 3), ())
+    case = tmp_path / "a" / "rerun-covariance-boost-17006-281" / "change"
+    assert (case / "out" / "trajectory.csv").read_text() == (
+        "[run]\nk = covariance-boost/17006/281\n1,2\n")
+    assert tool.format_rerun(same) == (
+        "RE-RUN covariance-boost seed 17006 invocation 281: exit 3 parent, 3 change; "
+        "identical outputs, exit codes and streams")
+
+    moved = tool.rerun(_stub_tree(tmp_path / "moved", row="1,2.0000000000000004", exit_code=0),
+                       "covariance-boost", 17006, 281, tmp_path / "b")
+    assert moved.exit_codes == (0, 3)
+    assert moved.differences == ("differs: exit_code", "differs: out/trajectory.csv")
+    assert tool.format_rerun(moved).splitlines()[1:] == [
+        "    differs: exit_code", "    differs: out/trajectory.csv"]
 
 
 # A harness that starts a grandchild, writes both pids and sleeps.

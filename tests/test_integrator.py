@@ -339,6 +339,20 @@ def test_integrate_matches_reference_route(model):
             assert pf.reverse_check(model, traj) == worst
 
 
+def test_backward_step_matches_reference_route(model):
+    """step(direction=-1) is the reference route's first backward point, bit
+    for bit; any other direction is rejected."""
+    for q0 in OFFSET_STARTS:
+        for scheme in SCHEMES:
+            records, termination, _ = _reference_run(model, q0, EPS, 1, scheme, direction=-1)
+            assert termination == "completed"
+            back = pf.step(model, q0, EPS, scheme, direction=-1)
+            assert astuple(back) == astuple(records[1].q), (q0, scheme)
+    for direction in (0, 2):
+        with pytest.raises(ValueError, match="direction must be"):
+            pf.step(model, OFFSET_STARTS[0], EPS, direction=direction)
+
+
 def test_aborts_match_reference_route(model):
     """Same records, tag and absorbed error message when a run aborts."""
     cases = (

@@ -13,7 +13,7 @@ from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import properflow as pf
 from properflow.errors import BoundaryError, NodeProximityError
@@ -111,6 +111,8 @@ def test_log_derivatives_at_probe_point(model, probe_point):
 
 @settings(deadline=None)
 @given(z1=interior, z2=interior, t1=times, t2=times)
+# Near a node: p_t1 + p_t2 = -2.09e-12 while s_t1 ~ 2252 and s_t2 ~ -2248.
+@example(z1=2.787109375, z2=0.35546875, t1=1.5, t2=1.5)
 def test_entangled_structure_identities(model, z1, z2, t1, t2):
     """|Psi|^2 depends on t1 - t2 only and the total phase rate is w1 + w2."""
     q = pf.ConfigPoint(z1, t1, z2, t2)
@@ -121,8 +123,10 @@ def test_entangled_structure_identities(model, z1, z2, t1, t2):
     p_t1, _, s_t1, _ = ld.particle(1)
     p_t2, _, s_t2, _ = ld.particle(2)
     # tolerances scale with the gradient size: near a node both terms blow
-    # up and the identities survive only up to cancellation error
-    assert abs(p_t1 + p_t2) <= 1e-12 * (abs(p_t1) + abs(p_t2) + 1.0)
+    # up and the identities survive only up to cancellation error, which
+    # for p_t follows the size of the s_t terms that cancel in Psi as well
+    p_scale = abs(p_t1) + abs(p_t2) + abs(s_t1) + abs(s_t2) + 1.0
+    assert abs(p_t1 + p_t2) <= 1e-12 * p_scale
     total = math.sqrt(2.0) + math.sqrt(5.0)
     assert abs(s_t1 + s_t2 - total) <= 1e-12 * (abs(s_t1) + abs(s_t2) + 1.0)
 

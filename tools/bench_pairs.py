@@ -28,6 +28,16 @@ last line and its stderr.  Its metrics still enter the table when it
 printed them; a pair and workload whose runs did not both print a result
 line is left out of it.
 
+Each invocation K named by a failed run's ``check failed: invocation K``
+problems (at most three per run) is then run again in both trees, built
+by that tree's ``bench/workloads.invocation(workload, seed, K)`` and run
+through its ``properflow.cli.main`` on its own ``src/``.  The two output
+directories, exit codes, stdout and stderr are compared byte for byte
+(``compare_trees`` of ``output_identity.py``).  Identical results mean
+the parent writes the same bytes there, so its check would fail too had
+its run reached that invocation; a difference means the change moved an
+output.
+
 The exit code is 1 when any run failed, 2 for bad arguments or a ref git
 cannot export, and 0 otherwise, flags or not.  Each run starts in its own
 session.  SIGTERM and SIGINT end the tool through its cleanup: the
@@ -41,6 +51,7 @@ import argparse
 import contextlib
 import json
 import os
+import re
 import shutil
 import signal
 import statistics
@@ -55,7 +66,7 @@ ROOT = Path(__file__).resolve().parent.parent
 # loaded from its path by an importer.
 sys.path.insert(0, str(ROOT / "tools"))
 
-from output_identity import export_ref  # noqa: E402
+from output_identity import compare_trees, export_ref  # noqa: E402
 
 
 @dataclass(frozen=True)
@@ -88,8 +99,33 @@ class Failure:
     problems: tuple[str, ...]
 
 
+@dataclass(frozen=True)
+class Rerun:
+    """One failed invocation run again in both trees."""
+
+    workload: str
+    seed: int
+    k: int
+    exit_codes: tuple[int, int]  # (parent, change)
+    differences: tuple[str, ...]  # compare_trees lines; empty when identical
+
+
 # Problems kept per failed run.
 PROBLEMS_KEPT = 3
+_CHECK_FAILED = re.compile(r"check failed: invocation (\d+):")
+
+# Run in a case directory with PYTHONPATH at a tree's src/; argv is that
+# tree's bench/ directory, the workload, the seed and the invocation number.
+_RERUN = """
+import sys
+from pathlib import Path
+sys.path.insert(0, sys.argv[1])
+import workloads
+from properflow import cli
+inv = workloads.invocation(sys.argv[2], int(sys.argv[3]), int(sys.argv[4]))
+Path("invocation.cfg").write_text(inv.config_text)
+raise SystemExit(cli.main(inv.argv(Path("invocation.cfg"), Path("out"))))
+"""
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -181,6 +217,41 @@ def format_failure(f: Failure) -> str:
     return "\n".join([head] + [f"    {problem}" for problem in f.problems])
 
 
+def failed_invocations(f: Failure) -> list[int]:
+    """The invocation numbers of a run's ``check failed`` problems, in
+    order and each once."""
+    found = (_CHECK_FAILED.search(problem) for problem in f.problems)
+    return list(dict.fromkeys(int(m.group(1)) for m in found if m))
+
+
+def rerun(parent_tree: Path, workload: str, seed: int, k: int, scratch: Path) -> Rerun:
+    """Invocation k of workload under seed, run once in each tree into
+    ``scratch``, and the differences between the two sides' results."""
+    base = scratch / f"rerun-{workload}-{seed}-{k}"
+    codes = []
+    for side, tree in (("parent", parent_tree), ("change", ROOT)):
+        case = base / side
+        case.mkdir(parents=True)
+        proc = subprocess.run(
+            [sys.executable, "-c", _RERUN, str(tree / "bench"), workload, str(seed), str(k)],
+            cwd=case, env=dict(os.environ, PYTHONPATH=str(tree / "src")), capture_output=True)
+        (case / "exit_code").write_text(f"{proc.returncode}\n")
+        (case / "stdout").write_bytes(proc.stdout)
+        (case / "stderr").write_bytes(proc.stderr)
+        codes.append(proc.returncode)
+    return Rerun(workload, seed, k, tuple(codes),
+                 tuple(compare_trees(base / "parent", base / "change")))
+
+
+def format_rerun(r: Rerun) -> str:
+    """One re-run as a headline and its differences, indented."""
+    outcome = (f"{len(r.differences)} differences" if r.differences
+               else "identical outputs, exit codes and streams")
+    head = (f"RE-RUN {r.workload} seed {r.seed} invocation {r.k}: exit {r.exit_codes[0]} "
+            f"parent, {r.exit_codes[1]} change; {outcome}")
+    return "\n".join([head] + [f"    {line}" for line in r.differences])
+
+
 def _bench(tree: Path, workload: str, seed: int, seconds: float,
            trace: int) -> subprocess.CompletedProcess:
     """One run_bench.py run in ``tree``, in a session of its own; if it is
@@ -261,6 +332,10 @@ def main(argv: list[str] | None = None) -> int:
             return 2
         runs, failures = run_pairs(parent_tree, args.workload or names, args.pairs, args.seed,
                                    args.seconds, args.trace)
+        # An invocation that failed on both sides of a pair is run again once.
+        wanted = dict.fromkeys((f.workload, f.seed, k) for f in failures
+                               for k in failed_invocations(f))
+        reruns = [rerun(parent_tree, *key, scratch) for key in wanted]
     finally:
         shutil.rmtree(scratch, ignore_errors=True)
     print(f"parent {args.parent}, {args.pairs} pairs of {args.seconds:g} s, "
@@ -268,6 +343,8 @@ def main(argv: list[str] | None = None) -> int:
     print(format_rows(summarize(runs, spec)))
     for f in failures:
         print(format_failure(f))
+    for r in reruns:
+        print(format_rerun(r))
     return 1 if failures else 0
 
 

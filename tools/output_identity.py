@@ -12,6 +12,10 @@ the same cases on both sides, each side importing properflow from its own
   on both sides) through ``simulate``, ``ensemble`` and ``covariance``,
   each with ``--scheme euler`` and ``--scheme midpoint``;
 - a fig2 ``ensemble`` with ``--seed 7``;
+- three variants of fig2 for paths the two configs miss: ``weighting =
+  uniform`` through ``ensemble``, ``[model] boost_alpha = 0.5`` through
+  ``simulate``, and ``[boost] alpha = 1.2`` with ``steps = 200`` and
+  ``total_proper_time = 1.0`` through ``covariance``;
 - every script in this checkout's ``demos/``, run from that side's
   ``demos/``.
 
@@ -39,6 +43,26 @@ ROOT = Path(__file__).resolve().parent.parent
 CONFIGS = ("fig1", "fig2")
 COMMANDS = ("simulate", "ensemble", "covariance")
 SCHEMES = ("euler", "midpoint")
+# name -> (command, (old, new) edits of configs/fig2.cfg's text).
+VARIANTS = {
+    "fig2-uniform": ("ensemble", (("weighting = eigenvalue", "weighting = uniform"),)),
+    "fig2-model-boost": ("simulate", (("n_b = 2\n", "n_b = 2\nboost_alpha = 0.5\n"),)),
+    "fig2-boost-alpha": ("covariance", (
+        ("velocity = 0.3", "alpha = 1.2"), ("steps = 500", "steps = 200"),
+        ("total_proper_time = 2.0", "total_proper_time = 1.0"),
+    )),
+}
+
+
+def variant_text(name: str) -> str:
+    """configs/fig2.cfg with the edits of variant ``name``; ValueError
+    unless each edit's old text occurs in the file exactly once."""
+    text = (ROOT / "configs" / "fig2.cfg").read_text()
+    for old, new in VARIANTS[name][1]:
+        if text.count(old) != 1:
+            raise ValueError(f"variant {name}: {old!r} is not once in fig2.cfg")
+        text = text.replace(old, new)
+    return text
 
 
 def cases() -> list[tuple[str, list[str]]]:
@@ -53,6 +77,9 @@ def cases() -> list[tuple[str, list[str]]]:
     runs.append(("fig2-ensemble-seed7",
                  ["-m", "properflow.cli", "ensemble", "--config", "../fig2.cfg", "--out", "out",
                   "--seed", "7"]))
+    runs += [(f"{name}-{command}",
+              ["-m", "properflow.cli", command, "--config", f"../{name}.cfg", "--out", "out"])
+             for name, (command, _) in VARIANTS.items()]
     runs += [(f"demo-{demo.stem}", [f"demos/{demo.name}"])
              for demo in sorted((ROOT / "demos").glob("*.py"))]
     return runs
@@ -63,6 +90,8 @@ def run_side(tree: Path, results: Path) -> None:
     results.mkdir(parents=True)
     for cfg in CONFIGS:
         shutil.copyfile(ROOT / "configs" / f"{cfg}.cfg", results / f"{cfg}.cfg")
+    for name in VARIANTS:
+        (results / f"{name}.cfg").write_text(variant_text(name))
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
     for name, args in cases():
         case = results / name
