@@ -22,7 +22,7 @@ model = pf.entangled_pair(pf.box_mode(1, L, 1.0), pf.box_mode(2, L, 1.0))
 start = pf.ConfigPoint(z1=1.0, t1=0.0, z2=2.0, t2=0.0)
 traj = pf.integrate(model, start, epsilon=0.01, n_steps=500, scheme="midpoint")
 
-arr = traj.configuration_array()
+arr = np.array(traj.rows)[:, :4]
 v = np.array([[r.v1, r.v2] for r in traj.records])
 desync = np.array(pf.coordination_profile(traj))
 

@@ -13,9 +13,8 @@ attribute reads.  Only this module sees the deferral:
 The rule that keeps scalar runs free of numpy: a path that takes floats
 or arrays tests ``isinstance(x, float)`` before it touches ``np``, so a
 float never reaches a numpy attribute.  The array paths (the lockstep
-ensemble, the sampler, ``Trajectory.configuration_array`` and the order
-fit of a convergence study above the rounding floor) import it on first
-use.
+ensemble, the sampler and the order fit of a convergence study above the
+rounding floor) import it on first use.
 """
 
 import importlib

@@ -97,7 +97,6 @@ class RunConfig:
 # t vertically, sigma-index labels every PLOT_LABEL_STRIDE records.
 PLOT_WIDTH, PLOT_HEIGHT = 880, 460
 PLOT_LABEL_STRIDE = 10
-PLOT_PARTICLES = (1, 2)
 
 
 def _number(text: str) -> float:
@@ -318,11 +317,12 @@ def load_config(
             weighting in ("uniform", "eigenvalue"),
             "ensemble", "weighting", f"must be uniform or eigenvalue, got {weighting!r}",
         )
+        # The file's value is checked even when --seed replaces it.
+        check(seed >= 0, "ensemble", "seed", "must be nonnegative")
         if seed_override is not None:
             if seed_override < 0:
                 raise ConfigError(f"--seed: must be nonnegative, got {seed_override!r}")
             seed = seed_override
-        check(seed >= 0, "ensemble", "seed", "must be nonnegative")
         ensemble = EnsembleSpec(count=count, weighting=weighting, seed=seed)
 
     if seed_override is not None:
@@ -415,20 +415,16 @@ def emit_svg(traj: Trajectory) -> str:
     if not traj.rows:
         raise ValueError("cannot plot an empty trajectory")
     margin = 54.0
-    n_panels = len(PLOT_PARTICLES)
     w, h = PLOT_WIDTH, PLOT_HEIGHT
-    panel_w = (w - margin * (n_panels + 1)) / n_panels
+    panel_w = (w - 3 * margin) / 2
     panel_h = h - 2 * margin
     parts = [
         '<?xml version="1.0" encoding="UTF-8"?>\n'
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{w}" height="{h}" viewBox="0 0 {w} {h}">'
         f'<rect x="0" y="0" width="{w}" height="{h}" fill="white" />'
     ]
-    # A ConfigPoint of whole coordinate columns: ``particle`` picks a
-    # particle's (ts, zs) and rejects any other index, as for one point.
-    world_lines = ConfigPoint(*tuple(zip(*traj.rows))[:4])
-    for panel, particle in enumerate(PLOT_PARTICLES):
-        ts, zs = world_lines.particle(particle)
+    z1s, t1s, z2s, t2s, *_ = zip(*traj.rows)
+    for panel, (ts, zs) in enumerate(((t1s, z1s), (t2s, z2s))):
         x0 = margin + panel * (panel_w + margin)
         y0 = margin
 
@@ -451,7 +447,7 @@ def emit_svg(traj: Trajectory) -> str:
             f'<rect x="{x0:.2f}" y="{y0:.2f}" width="{panel_w:.2f}" height="{panel_h:.2f}" '
             'fill="none" stroke="#333333" stroke-width="1" />'
             f'<text x="{x0 + panel_w / 2:.2f}" y="{y0 - 12:.2f}" text-anchor="middle" '
-            f'font-size="14" fill="#333333">particle {particle}</text>'
+            f'font-size="14" fill="#333333">particle {panel + 1}</text>'
             f'<text x="{x0 + panel_w / 2:.2f}" y="{y0 + panel_h + 32:.2f}" {axis}>z</text>'
             f'<text x="{x0 - 28:.2f}" y="{y0 + panel_h / 2:.2f}" {axis}>t</text>'
         )

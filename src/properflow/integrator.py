@@ -38,10 +38,10 @@ the last point inside; only the public ``step``, which evaluates nothing
 after it, checks the point it reaches itself.
 
 Each loop appends rows (z1, t1, z2, t2, v1, v2, lambda1, lambda2), and
-the rows are a ``Trajectory``'s stored form: the CLI writers, the frame
-comparison and ``reverse_check`` read them as they are.  The
-``StepRecord``s of ``Trajectory.records`` are built from them on first
-read, for library callers that ask for them.
+a ``Trajectory`` is built from those rows alone and stores them: the
+CLI writers, the frame comparison and ``reverse_check`` read them as
+they are.  The ``StepRecord``s of ``Trajectory.records`` are built from
+them on first read, for library callers that ask for them.
 """
 
 from __future__ import annotations
@@ -96,17 +96,16 @@ class StepRecord:
     lambda2: float
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class Trajectory:
     """One run: its rows, the j-th at sigma = j * epsilon, and the
     termination tag that ended it.
 
     A row is (z1, t1, z2, t2, v1, v2, lambda1, lambda2), a record's
-    fields in order; the rows are the stored form and the integrator
-    hands them over as they are.  ``records`` builds the ``StepRecord``s
-    on first read and keeps them.  Built from ``records`` instead, whose
-    sigmas must be j * epsilon, a trajectory derives its rows once.
-    ``==`` and ``hash`` compare epsilon, scheme, rows and termination.
+    fields in order; the rows are the stored form, kept as a tuple of
+    tuples.  ``records`` builds the ``StepRecord``s on first read and
+    keeps them.  ``==`` and ``hash`` compare epsilon, scheme, rows and
+    termination.
     """
 
     epsilon: float
@@ -114,35 +113,8 @@ class Trajectory:
     rows: tuple[tuple[float, ...], ...]
     termination: str
 
-    def __init__(
-        self,
-        epsilon: float,
-        scheme: str,
-        records: Sequence[StepRecord] | None = None,
-        termination: str | None = None,
-        *,
-        rows: Sequence[Sequence[float]] | None = None,
-    ):
-        if termination is None:
-            raise TypeError("Trajectory needs a termination tag")
-        if (records is None) == (rows is None):
-            raise TypeError("Trajectory takes exactly one of records and rows")
-        if records is not None:
-            records = tuple(records)
-            for j, r in enumerate(records):
-                if r.sigma != j * epsilon:
-                    raise ValueError(
-                        f"record {j} has sigma {r.sigma!r}, not {j} * epsilon = {j * epsilon!r}"
-                    )
-            rows = [
-                (r.q.z1, r.q.t1, r.q.z2, r.q.t2, r.v1, r.v2, r.lambda1, r.lambda2)
-                for r in records
-            ]
-            object.__setattr__(self, "records", records)
-        object.__setattr__(self, "epsilon", epsilon)
-        object.__setattr__(self, "scheme", scheme)
-        object.__setattr__(self, "rows", tuple(map(tuple, rows)))
-        object.__setattr__(self, "termination", termination)
+    def __post_init__(self):
+        object.__setattr__(self, "rows", tuple(map(tuple, self.rows)))
 
     @cached_property
     def records(self) -> tuple[StepRecord, ...]:
@@ -163,10 +135,6 @@ class Trajectory:
         if self.completed:
             return 0
         return _ABORTS[TERMINATIONS.index(self.termination) - 1].exit_code
-
-    def configuration_array(self) -> np.ndarray:
-        """(n_records, 4) array of (z1, t1, z2, t2) rows."""
-        return np.array([row[:4] for row in self.rows])
 
 
 def _flow(p, r_t, r_z, m: float):

@@ -183,9 +183,6 @@ class WaveModel:
     def in_domain(self, q: ConfigPoint) -> bool:
         return bool(self.contains(q.z1, q.t1, q.z2, q.t2))
 
-    def log_derivatives(self, q: ConfigPoint) -> LogDerivatives:
-        return log_derivatives(self, q)
-
 
 class ModeSum(WaveModel):
     """Sum of mode products Psi = sum over terms (a, b) of a(1) b(2).

@@ -103,7 +103,7 @@ def test_criterion_03_boosted_frame_convergence_order(model):
 def test_criterion_04_proper_time_invariant(static_run, moving_run):
     worst = 0.0
     for traj, _ in (static_run, moving_run):
-        arr = traj.configuration_array()
+        arr = np.array(traj.rows)[:, :4]
         for it, iz in ((1, 0), (3, 2)):
             dt = np.diff(arr[:, it])
             dz = np.diff(arr[:, iz])
@@ -296,7 +296,7 @@ def test_moving_ensemble_never_shares_a_record(model):
 
     completed = sum(traj.completed for traj in ensemble)
     moved = min(
-        np.max(np.abs(traj.configuration_array()[:, [0, 2]] - [q.z1, q.z2]))
+        np.max(np.abs(np.array(traj.rows)[:, [0, 2]] - [q.z1, q.z2]))
         for q, traj in zip(starts, ensemble)
     )
     seen = {}
@@ -309,7 +309,7 @@ def test_moving_ensemble_never_shares_a_record(model):
             seen[key] = member
     floor = 10.0 * EPS * np.finfo(float).eps
     common = min(len(traj.records) for traj in ensemble)
-    paths = np.stack([traj.configuration_array()[:common] for traj in ensemble])
+    paths = np.stack([np.array(traj.rows)[:common, :4] for traj in ensemble])
     closest = min(
         np.min(np.linalg.norm(paths[i + 1:] - paths[i], axis=2)) for i in range(len(paths) - 1)
     )

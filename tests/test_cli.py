@@ -142,11 +142,8 @@ def test_svg_layout(tmp_path):
 
 
 def test_svg_single_record_has_no_polyline():
-    rec = pf.StepRecord(
-        sigma=0.0, q=pf.ConfigPoint(1.0, 0.5, 2.0, 0.1),
-        v1=0.0, v2=0.0, lambda1=1.0, lambda2=1.0,
-    )
-    traj = pf.Trajectory(epsilon=0.01, scheme="midpoint", records=(rec,),
+    traj = pf.Trajectory(epsilon=0.01, scheme="midpoint",
+                         rows=[(1.0, 0.5, 2.0, 0.1, 0.0, 0.0, 1.0, 1.0)],
                          termination="completed")
     root = ET.fromstring(cli.emit_svg(traj))
     assert root.findall(".//svg:polyline", SVG_NS) == []
@@ -386,12 +383,9 @@ def test_boundary_start_exit_code(tmp_path, capsys):
 
 def test_exit_code_tables():
     """Termination tags and exit codes come from the error classes."""
-    rec = pf.StepRecord(
-        sigma=0.0, q=pf.ConfigPoint(1.0, 0.0, 2.0, 0.0),
-        v1=0.0, v2=0.0, lambda1=1.0, lambda2=1.0,
-    )
+    row = (1.0, 0.0, 2.0, 0.0, 0.0, 0.0, 1.0, 1.0)
     exits = {
-        tag: pf.Trajectory(epsilon=0.01, scheme="midpoint", records=(rec,),
+        tag: pf.Trajectory(epsilon=0.01, scheme="midpoint", rows=[row],
                            termination=tag).exit_code
         for tag in TERMINATIONS
     }
@@ -498,17 +492,6 @@ def test_commands_build_no_step_records(tmp_path, monkeypatch, command):
     assert _outputs(patched) == _outputs(plain)
 
 
-def test_trajectory_rebuilt_from_records_writes_the_same_text(tmp_path, model, moving_point):
-    traj = pf.integrate(model, moving_point, 0.01, 60, "midpoint")
-    rebuilt = pf.Trajectory(epsilon=traj.epsilon, scheme=traj.scheme,
-                            records=traj.records, termination=traj.termination)
-    assert rebuilt == traj and hash(rebuilt) == hash(traj)
-    assert rebuilt.records is traj.records
-    cfg = cli.load_config(_write(tmp_path, FIG2), tmp_path / "out")
-    assert cli.trajectory_csv(rebuilt, cfg) == cli.trajectory_csv(traj, cfg)
-    assert cli.emit_svg(rebuilt) == cli.emit_svg(traj)
-
-
 @pytest.mark.parametrize("value", ["rk4", ""], ids=["unknown", "empty"])
 def test_scheme_override_does_not_hide_a_bad_file_scheme(tmp_path, capsys, value):
     """The file's run.scheme is checked, with its line, before --scheme
@@ -520,6 +503,20 @@ def test_scheme_override_does_not_hide_a_bad_file_scheme(tmp_path, capsys, value
     assert cli.main(["simulate", "--config", cfg, "--out", str(out), "--scheme", "euler"]) == 2
     assert capsys.readouterr().err == (
         f"simulate: run.scheme (line {lineno}): must be one of euler, midpoint, got {value!r}\n"
+    )
+    assert not out.exists()
+
+
+def test_seed_override_does_not_hide_a_bad_file_seed(tmp_path, capsys):
+    """The file's ensemble.seed is checked, with its line, before --seed
+    replaces it."""
+    text = FIG2 + ENSEMBLE_BLOCK
+    lineno = text.splitlines().index("seed = 11") + 1
+    cfg = _write(tmp_path, text.replace("seed = 11", "seed = -5"))
+    out = tmp_path / "out"
+    assert cli.main(["ensemble", "--config", cfg, "--out", str(out), "--seed", "3"]) == 2
+    assert capsys.readouterr().err == (
+        f"ensemble: ensemble.seed (line {lineno}): must be nonnegative\n"
     )
     assert not out.exists()
 

@@ -118,9 +118,8 @@ def test_coordination_is_frame_dependent(model, rest_point):
 
 
 def test_single_record_profile():
-    q = pf.ConfigPoint(1.0, 0.8, 2.0, 0.3)
-    rec = pf.StepRecord(sigma=0.0, q=q, v1=0.0, v2=0.0, lambda1=1.0, lambda2=1.0)
-    traj = pf.Trajectory(epsilon=0.01, scheme="midpoint", records=(rec,),
+    traj = pf.Trajectory(epsilon=0.01, scheme="midpoint",
+                         rows=[(1.0, 0.8, 2.0, 0.3, 0.0, 0.0, 1.0, 1.0)],
                          termination="completed")
     assert pf.coordination_profile(traj) == [0.5]
 

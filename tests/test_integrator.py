@@ -155,7 +155,7 @@ def _absorbed_error(model, last, eps, scheme):
 
 def _interval_errors(traj):
     """Relative error of dt^2 - dz^2 = eps^2 per particle per step."""
-    arr = traj.configuration_array()
+    arr = np.array(traj.rows)[:, :4]
     eps2 = traj.epsilon**2
     worst = 0.0
     for it, iz in ((1, 0), (3, 2)):
@@ -510,16 +510,6 @@ def test_trajectory_records_are_built_from_rows_on_first_read(model, moving_poin
     rows = [astuple(r.q) + (r.v1, r.v2, r.lambda1, r.lambda2) for r in traj.records]
     assert rows == list(traj.rows)
     assert [r.sigma for r in traj.records] == [j * EPS for j in range(6)]
-
-
-def test_trajectory_from_records_needs_sigma_on_the_step_grid(model, moving_point):
-    rec = pf.integrate(model, moving_point, EPS, 2, "midpoint").records[1]
-    with pytest.raises(ValueError, match="record 0 has sigma 0.01"):
-        pf.Trajectory(epsilon=EPS, scheme="midpoint", records=(rec,), termination="completed")
-    with pytest.raises(TypeError, match="exactly one of records and rows"):
-        pf.Trajectory(EPS, "midpoint", termination="completed")
-    with pytest.raises(TypeError, match="termination"):
-        pf.Trajectory(EPS, "midpoint", records=())
 
 
 @pytest.mark.parametrize(

@@ -16,6 +16,9 @@ the same cases on both sides, each side importing properflow from its own
   uniform`` through ``ensemble``, ``[model] boost_alpha = 0.5`` through
   ``simulate``, and ``[boost] alpha = 1.2`` with ``steps = 200`` and
   ``total_proper_time = 1.0`` through ``covariance``;
+- three failing variants of fig2 through ``simulate``: ``z1 = 0.0000001``
+  (node floor, exit 3), ``z1 = -0.5`` (outside the well, exit 5) and
+  ``scheme = rk4`` (config error, exit 2);
 - every script in this checkout's ``demos/``, run from that side's
   ``demos/``.
 
@@ -51,6 +54,10 @@ VARIANTS = {
         ("velocity = 0.3", "alpha = 1.2"), ("steps = 500", "steps = 200"),
         ("total_proper_time = 2.0", "total_proper_time = 1.0"),
     )),
+    # Failure paths: their exit codes and stderr messages.
+    "fig2-node-floor": ("simulate", (("z1 = 1.0", "z1 = 0.0000001"),)),
+    "fig2-outside": ("simulate", (("z1 = 1.0", "z1 = -0.5"),)),
+    "fig2-bad-scheme": ("simulate", (("scheme = midpoint", "scheme = rk4"),)),
 }
 
 
