@@ -251,6 +251,9 @@ def load_config(
         raise ConfigError(f"cannot read config {path}: {err}") from None
     raw, echo = _parse_lines(text, str(path))
     get, check = raw.get, raw.check
+    # The flag is checked whether or not the file has an [ensemble] section.
+    if seed_override is not None and seed_override < 0:
+        raise ConfigError(f"--seed: must be nonnegative, got {seed_override!r}")
 
     L, m, n_a, n_b = (get("model", key) for key in ("L", "m", "n_a", "n_b"))
     check(L > 0.0, "model", "L", "must be > 0")
@@ -320,8 +323,6 @@ def load_config(
         # The file's value is checked even when --seed replaces it.
         check(seed >= 0, "ensemble", "seed", "must be nonnegative")
         if seed_override is not None:
-            if seed_override < 0:
-                raise ConfigError(f"--seed: must be nonnegative, got {seed_override!r}")
             seed = seed_override
         ensemble = EnsembleSpec(count=count, weighting=weighting, seed=seed)
 

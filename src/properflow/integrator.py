@@ -384,12 +384,30 @@ def _eigenvalue_weights(model: WaveModel, z1: np.ndarray, z2: np.ndarray) -> np.
 
 
 def _weight_bound(model: WaveModel) -> float:
+    """1.25 times the largest eigenvalue weight on a 239 x 239 grid of
+    (0, L)^2; SamplingError unless that maximum is positive.
+
+    The grid is evaluated in blocks of rows, each at most one proposal
+    chunk of points, so no array pass holds the whole grid.  The block
+    maxima are combined with ``np.max``, which keeps the maximum exact
+    and a NaN anywhere a NaN (and so an error).
+    """
     grid = np.linspace(0.0, model.well_width, 241)[1:-1]
-    top = float(np.max(_eigenvalue_weights(model, grid[None, :], grid[:, None])))
+    rows = _PROPOSAL_CHUNK // len(grid)
+    top = float(np.max([
+        np.max(_eigenvalue_weights(model, grid[None, :], grid[i:i + rows, None]))
+        for i in range(0, len(grid), rows)
+    ]))
     if not top > 0.0:
         raise SamplingError("eigenvalue weight vanishes on the sampling grid")
     # Headroom over the grid maximum keeps the envelope valid between nodes.
     return 1.25 * top
+
+
+def _inside(model: WaveModel, z: np.ndarray) -> np.ndarray:
+    """Which rows (z1, z2) of z lie in the well on the t1 = t2 = 0 plane."""
+    t = np.zeros(len(z))
+    return model.contains(z[:, 0], t, z[:, 1], t)
 
 
 def sample_hyperplane(
@@ -400,11 +418,15 @@ def sample_hyperplane(
 ) -> list[ConfigPoint]:
     """Draw initial configurations (z1, 0, z2, 0) on the equal-time plane.
 
-    uniform draws both positions independently over (0, L); eigenvalue
-    performs seeded rejection sampling proportional to the product of the
-    two timelike eigenvalues, restricted to node-free configurations.
-    Same seed, same points.  count must be a positive and seed a
-    nonnegative integer; numpy integers count, bools and floats do not.
+    uniform draws both positions independently over (0, L) and redraws
+    each point ``model.contains`` rejects (a boosted well is narrower on
+    this plane) until it lies inside; eigenvalue performs seeded
+    rejection sampling proportional to the product of the two timelike
+    eigenvalues, restricted to node-free configurations, against a bound
+    from ``_weight_bound``'s grid.  Both give up with SamplingError after
+    10,000 proposals per requested point.  Same seed, same points.  count
+    must be a positive and seed a nonnegative integer; numpy integers
+    count, bools and floats do not.
     """
     count = _integer(count, "count")
     seed = _integer(seed, "seed", least=0)
@@ -412,13 +434,24 @@ def sample_hyperplane(
         raise ValueError(f"weighting must be 'uniform' or 'eigenvalue', got {weighting!r}")
     rng = np.random.default_rng(seed)
     L = model.well_width
+    budget = _ATTEMPTS_PER_POINT * count
     if weighting == "uniform":
         draws = rng.uniform(0.0, L, size=(count, 2))
+        spent = count
+        # Only rejected points are redrawn: no RNG call when all lie inside.
+        redo = np.flatnonzero(~_inside(model, draws))
+        while len(redo):
+            if spent + len(redo) > budget:
+                raise SamplingError(
+                    f"uniform sampling exhausted {budget} proposals for {count} points"
+                )
+            spent += len(redo)
+            draws[redo] = rng.uniform(0.0, L, size=(len(redo), 2))
+            redo = redo[~_inside(model, draws[redo])]
         return [
             ConfigPoint(z1=float(a), t1=0.0, z2=float(b), t2=0.0) for a, b in draws
         ]
     bound = _weight_bound(model)
-    budget = _ATTEMPTS_PER_POINT * count
     spent = 0
     points: list[ConfigPoint] = []
     while len(points) < count:

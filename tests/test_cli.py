@@ -507,6 +507,33 @@ def test_scheme_override_does_not_hide_a_bad_file_scheme(tmp_path, capsys, value
     assert not out.exists()
 
 
+def test_negative_seed_override_fails_without_an_ensemble(tmp_path, capsys):
+    """--seed is checked whether or not the file has an [ensemble] section."""
+    cfg = _write(tmp_path, FIG1)
+    out = tmp_path / "out"
+    assert cli.main(["simulate", "--config", cfg, "--out", str(out), "--seed", "-1"]) == 2
+    assert capsys.readouterr().err == "simulate: --seed: must be nonnegative, got -1\n"
+    assert not out.exists()
+
+
+def test_uniform_ensemble_on_a_boosted_model_starts_inside(tmp_path):
+    """A uniform draw that falls outside the boosted well, 0 < z' cosh(alpha)
+    < L on the t' = 0 plane, is redrawn; every member starts inside."""
+    alpha = 0.5
+    text = (FIG2.replace("n_b = 2\n", f"n_b = 2\nboost_alpha = {alpha}\n")
+            + ENSEMBLE_BLOCK.replace("count = 6", "count = 100")
+            .replace("weighting = eigenvalue", "weighting = uniform"))
+    cfg = _write(tmp_path, text)
+    out = tmp_path / "out"
+    assert cli.main(["ensemble", "--config", cfg, "--out", str(out)]) == 0
+    header, rows = _rows(out / "summary.csv")
+    assert len(rows) == 100
+    for row in rows:
+        start = dict(zip(header, row))
+        for key in ("z1_0", "z2_0"):
+            assert 0.0 < float(start[key]) * math.cosh(alpha) < math.pi
+
+
 def test_seed_override_does_not_hide_a_bad_file_seed(tmp_path, capsys):
     """The file's ensemble.seed is checked, with its line, before --seed
     replaces it."""

@@ -3,6 +3,7 @@
 import math
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import astuple
 
 import numpy as np
@@ -10,7 +11,12 @@ import pytest
 
 import properflow as pf
 from properflow.errors import BoundaryError, FlowError, NodeProximityError, SamplingError
-from properflow.integrator import SCHEMES, _timelike_lambdas
+from properflow.integrator import (
+    SCHEMES,
+    _eigenvalue_weights,
+    _timelike_lambdas,
+    _weight_bound,
+)
 
 L = math.pi
 EPS = 0.01
@@ -619,6 +625,84 @@ def test_sampler_validates_arguments(model):
 def test_sampler_reports_vanishing_weight():
     with pytest.raises(SamplingError):
         pf.sample_hyperplane(Silent(), 5, "eigenvalue", seed=1)
+
+
+def _pair(L, m, n_a, n_b):
+    return pf.entangled_pair(pf.box_mode(n_a, L, m), pf.box_mode(n_b, L, m))
+
+
+def _bound_states():
+    pairs = [_pair(L, 1.0, 1, 2), _pair(2.0, 0.0, 1, 3), _pair(5.0, 2.5, 2, 5),
+             _pair(L, 1.0, 3, 1)]
+    mode = [pf.box_mode(n, L, 1.0) for n in (1, 2, 3)]
+    three = pf.ModeSum(((mode[0], mode[1]), (mode[1], mode[0]), (mode[0], mode[2])))
+    return pairs + [pf.boosted(p, pf.Rapidity(0.7)) for p in pairs] + [three]
+
+
+@pytest.mark.parametrize("state", _bound_states())
+def test_blocked_weight_bound_equals_one_pass(state):
+    """The grid evaluated in row blocks gives exactly the one-pass bound."""
+    g = np.linspace(0.0, state.well_width, 241)[1:-1]
+    one_pass = 1.25 * float(np.max(_eigenvalue_weights(state, g[None, :], g[:, None])))
+    assert _weight_bound(state) == one_pass
+
+
+class NanAtOnePoint(pf.ModeSum):
+    """fig2's pair with Psi = nan at one grid point, (grid[3], grid[200])."""
+
+    GRID = np.linspace(0.0, L, 241)[1:-1]
+
+    def fields(self, z1, t1, z2, t2):
+        psi, *grads = super().fields(z1, t1, z2, t2)
+        hole = (z1 == self.GRID[3]) & (z2 == self.GRID[200])
+        return (np.where(hole, np.nan, psi), *grads)
+
+
+def test_nan_weight_in_a_late_block_is_an_error(model):
+    """A NaN weight anywhere on the grid makes the bound fail, whichever
+    block holds it."""
+    state = NanAtOnePoint(model.terms)
+    with pytest.raises(SamplingError):
+        _weight_bound(state)
+    with pytest.raises(SamplingError):
+        pf.sample_hyperplane(state, 5, "eigenvalue", seed=1)
+
+
+def test_eigenvalue_sample_peak_memory_stays_small(model):
+    """No array pass of the sampler holds the whole 239 x 239 grid."""
+    pf.sample_hyperplane(model, 1, "eigenvalue", seed=3)
+    tracemalloc.start()
+    try:
+        pf.sample_hyperplane(model, 500, "eigenvalue", seed=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+
+
+def test_uniform_sampler_stays_inside_a_boosted_well(model):
+    """On the t' = 0 plane a boosted well is 0 < z' cosh(alpha) < L: every
+    uniform start lies there, and an unboosted model gets its first draw."""
+    alpha = 0.5
+    points = pf.sample_hyperplane(pf.boosted(model, pf.Rapidity(alpha)), 2000, seed=4)
+    z = np.array([(q.z1, q.z2) for q in points])
+    assert len(points) == 2000 and (z > 0.0).all() and (z * math.cosh(alpha) < L).all()
+    draws = np.random.default_rng(4).uniform(0.0, L, size=(2000, 2))
+    assert pf.sample_hyperplane(model, 2000, seed=4) == [
+        pf.ConfigPoint(float(a), 0.0, float(b), 0.0) for a, b in draws
+    ]
+
+
+class Closed(Silent):
+    """A well that holds no point of the t1 = t2 = 0 plane."""
+
+    def contains(self, z1, t1, z2, t2):
+        return np.zeros(np.broadcast(z1, z2).shape, dtype=bool)
+
+
+def test_uniform_sampler_gives_up_after_its_budget():
+    with pytest.raises(SamplingError, match="exhausted 10000 proposals for 1 points"):
+        pf.sample_hyperplane(Closed(), 1, "uniform", seed=1)
 
 
 def test_ensemble_members_never_share_a_record(model):

@@ -12,9 +12,11 @@ the same cases on both sides, each side importing properflow from its own
   on both sides) through ``simulate``, ``ensemble`` and ``covariance``,
   each with ``--scheme euler`` and ``--scheme midpoint``;
 - a fig2 ``ensemble`` with ``--seed 7``;
-- three variants of fig2 for paths the two configs miss: ``weighting =
+- five variants of fig2 for paths the two configs miss: ``weighting =
   uniform`` through ``ensemble``, ``[model] boost_alpha = 0.5`` through
-  ``simulate``, and ``[boost] alpha = 1.2`` with ``steps = 200`` and
+  ``simulate`` and through the eigenvalue-weighted ``ensemble``, the
+  modes ``n_a = 2``, ``n_b = 5`` with ``m = 0.0`` through ``ensemble``,
+  and ``[boost] alpha = 1.2`` with ``steps = 200`` and
   ``total_proper_time = 1.0`` through ``covariance``;
 - three failing variants of fig2 through ``simulate``: ``z1 = 0.0000001``
   (node floor, exit 3), ``z1 = -0.5`` (outside the well, exit 5) and
@@ -50,6 +52,10 @@ SCHEMES = ("euler", "midpoint")
 VARIANTS = {
     "fig2-uniform": ("ensemble", (("weighting = eigenvalue", "weighting = uniform"),)),
     "fig2-model-boost": ("simulate", (("n_b = 2\n", "n_b = 2\nboost_alpha = 0.5\n"),)),
+    "fig2-boost-ensemble": ("ensemble", (("n_b = 2\n", "n_b = 2\nboost_alpha = 0.5\n"),)),
+    "fig2-modes-ensemble": ("ensemble", (
+        ("n_a = 1", "n_a = 2"), ("n_b = 2", "n_b = 5"), ("m = 1.0", "m = 0.0"),
+    )),
     "fig2-boost-alpha": ("covariance", (
         ("velocity = 0.3", "alpha = 1.2"), ("steps = 500", "steps = 200"),
         ("total_proper_time = 2.0", "total_proper_time = 1.0"),
