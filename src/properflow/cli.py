@@ -54,7 +54,9 @@ from pathlib import Path
 from .errors import ComparisonFailure, FlowError, LightlikeVelocityError, SamplingError
 from .minkowski import Rapidity, rapidity_from_velocity
 from .wavefield import ConfigPoint, WaveModel, boosted, box_mode, entangled_pair
-from .integrator import DEFAULT_SCHEME, SCHEMES, Trajectory, integrate, sample_hyperplane
+from .integrator import (
+    DEFAULT_SCHEME, SCHEMES, WEIGHTINGS, Trajectory, integrate, sample_hyperplane,
+)
 from .covariance import compare_frames, convergence_study, step_count
 
 CSV_HEADER = "sigma,z1,t1,z2,t2,v1,v2,lambda1,lambda2"
@@ -293,10 +295,11 @@ def load_config(
             raise ConfigError("boost: needs velocity or alpha")
         epsilons = get("boost", "epsilons")
         total_proper_time = get("boost", "total_proper_time")
+        if total_proper_time is not None:
+            check(total_proper_time > 0.0, "boost", "total_proper_time", "must be > 0")
         if epsilons is not None:
             if total_proper_time is None:
                 raise ConfigError("boost.total_proper_time: required alongside boost.epsilons")
-            check(total_proper_time > 0.0, "boost", "total_proper_time", "must be > 0")
             check(len(epsilons) >= 3, "boost", "epsilons", "need at least 3 values")
             check(
                 all(b < a for a, b in zip(epsilons, epsilons[1:])),
@@ -317,8 +320,8 @@ def load_config(
             raise ConfigError("ensemble.count: required in an [ensemble] section")
         check(count >= 1, "ensemble", "count", "must be a positive integer")
         check(
-            weighting in ("uniform", "eigenvalue"),
-            "ensemble", "weighting", f"must be uniform or eigenvalue, got {weighting!r}",
+            weighting in WEIGHTINGS,
+            "ensemble", "weighting", f"must be {' or '.join(WEIGHTINGS)}, got {weighting!r}",
         )
         # The file's value is checked even when --seed replaces it.
         check(seed >= 0, "ensemble", "seed", "must be nonnegative")

@@ -53,7 +53,8 @@ class DegenerateThetaError(Exception):
 
 
 class SamplingError(Exception):
-    """Rejection sampling exhausted its attempt budget."""
+    """The sampler's rejection loop exhausted its proposal budget, or its
+    eigenvalue weight is not finite or vanishes on the bound's grid."""
 
     exit_code = 4
 

@@ -66,6 +66,7 @@ from .wavefield import ConfigPoint, WaveModel, log_ratios
 
 Scheme = Literal["euler", "midpoint"]
 SCHEMES: tuple[str, ...] = ("euler", "midpoint")
+WEIGHTINGS: tuple[str, ...] = ("uniform", "eigenvalue")
 
 # The error classes a run absorbs, each naming its termination tag; a
 # lockstep fault index is 1 + the position here (0 while running).
@@ -385,29 +386,30 @@ def _eigenvalue_weights(model: WaveModel, z1: np.ndarray, z2: np.ndarray) -> np.
 
 def _weight_bound(model: WaveModel) -> float:
     """1.25 times the largest eigenvalue weight on a 239 x 239 grid of
-    (0, L)^2; SamplingError unless that maximum is positive.
+    (0, L)^2; SamplingError naming the first grid point, in row order,
+    whose weight is not finite, or if the maximum is not positive.
 
     The grid is evaluated in blocks of rows, each at most one proposal
-    chunk of points, so no array pass holds the whole grid.  The block
-    maxima are combined with ``np.max``, which keeps the maximum exact
-    and a NaN anywhere a NaN (and so an error).
+    chunk of points, so no array pass holds the whole grid; the largest
+    block maximum is the one-pass maximum exactly.
     """
     grid = np.linspace(0.0, model.well_width, 241)[1:-1]
     rows = _PROPOSAL_CHUNK // len(grid)
-    top = float(np.max([
-        np.max(_eigenvalue_weights(model, grid[None, :], grid[i:i + rows, None]))
-        for i in range(0, len(grid), rows)
-    ]))
+    top = 0.0
+    for i in range(0, len(grid), rows):
+        weights = _eigenvalue_weights(model, grid[None, :], grid[i:i + rows, None])
+        bad = np.argwhere(~np.isfinite(weights))
+        if len(bad):
+            row, col = bad[0]
+            raise SamplingError(
+                f"eigenvalue weight is not finite at (z1, z2) = "
+                f"({float(grid[col])!r}, {float(grid[i + row])!r}) on the sampling grid"
+            )
+        top = max(top, float(np.max(weights)))
     if not top > 0.0:
         raise SamplingError("eigenvalue weight vanishes on the sampling grid")
     # Headroom over the grid maximum keeps the envelope valid between nodes.
     return 1.25 * top
-
-
-def _inside(model: WaveModel, z: np.ndarray) -> np.ndarray:
-    """Which rows (z1, z2) of z lie in the well on the t1 = t2 = 0 plane."""
-    t = np.zeros(len(z))
-    return model.contains(z[:, 0], t, z[:, 1], t)
 
 
 def sample_hyperplane(
@@ -418,54 +420,47 @@ def sample_hyperplane(
 ) -> list[ConfigPoint]:
     """Draw initial configurations (z1, 0, z2, 0) on the equal-time plane.
 
-    uniform draws both positions independently over (0, L) and redraws
-    each point ``model.contains`` rejects (a boosted well is narrower on
-    this plane) until it lies inside; eigenvalue performs seeded
-    rejection sampling proportional to the product of the two timelike
-    eigenvalues, restricted to node-free configurations, against a bound
-    from ``_weight_bound``'s grid.  Both give up with SamplingError after
-    10,000 proposals per requested point.  Same seed, same points.  count
-    must be a positive and seed a nonnegative integer; numpy integers
-    count, bools and floats do not.
+    One seeded rejection loop serves both weightings.  Each chunk of
+    proposals draws both positions uniformly over (0, L); uniform keeps
+    those ``model.contains`` accepts on this plane (a boosted well is
+    narrower there), eigenvalue also draws u in (0, 1) per proposal and
+    keeps those whose product of the two timelike eigenvalues, restricted
+    to node-free configurations, exceeds u times a bound from
+    ``_weight_bound``'s grid.  Kept points are taken in draw order until
+    count are reached, so an unboosted uniform sample is the first
+    (count, 2) draw of the seed's stream.  SamplingError after 10,000
+    proposals per requested point.  Same seed, same points.  count must
+    be a positive and seed a nonnegative integer; numpy integers count,
+    bools and floats do not.
     """
     count = _integer(count, "count")
     seed = _integer(seed, "seed", least=0)
-    if weighting not in ("uniform", "eigenvalue"):
-        raise ValueError(f"weighting must be 'uniform' or 'eigenvalue', got {weighting!r}")
+    if weighting not in WEIGHTINGS:
+        raise ValueError(
+            f"weighting must be {' or '.join(map(repr, WEIGHTINGS))}, got {weighting!r}"
+        )
     rng = np.random.default_rng(seed)
     L = model.well_width
+    bound = _weight_bound(model) if weighting == "eigenvalue" else None
     budget = _ATTEMPTS_PER_POINT * count
-    if weighting == "uniform":
-        draws = rng.uniform(0.0, L, size=(count, 2))
-        spent = count
-        # Only rejected points are redrawn: no RNG call when all lie inside.
-        redo = np.flatnonzero(~_inside(model, draws))
-        while len(redo):
-            if spent + len(redo) > budget:
-                raise SamplingError(
-                    f"uniform sampling exhausted {budget} proposals for {count} points"
-                )
-            spent += len(redo)
-            draws[redo] = rng.uniform(0.0, L, size=(len(redo), 2))
-            redo = redo[~_inside(model, draws[redo])]
-        return [
-            ConfigPoint(z1=float(a), t1=0.0, z2=float(b), t2=0.0) for a, b in draws
-        ]
-    bound = _weight_bound(model)
     spent = 0
     points: list[ConfigPoint] = []
     while len(points) < count:
         if spent >= budget:
             raise SamplingError(
-                f"rejection sampling exhausted {budget} proposals for {count} points"
+                f"{weighting} sampling exhausted {budget} proposals for {count} points"
             )
         ndraw = min(_PROPOSAL_CHUNK, budget - spent)
         spent += ndraw
         z = rng.uniform(0.0, L, size=(ndraw, 2))
-        u = rng.uniform(0.0, 1.0, size=ndraw)
-        accept = _eigenvalue_weights(model, z[:, 0], z[:, 1]) > u * bound
-        for a, b in z[accept]:
-            points.append(ConfigPoint(z1=float(a), t1=0.0, z2=float(b), t2=0.0))
-            if len(points) == count:
-                break
+        if bound is None:
+            t = np.zeros(ndraw)
+            accept = model.contains(z[:, 0], t, z[:, 1], t)
+        else:
+            u = rng.uniform(0.0, 1.0, size=ndraw)
+            accept = _eigenvalue_weights(model, z[:, 0], z[:, 1]) > u * bound
+        points += [
+            ConfigPoint(z1=float(a), t1=0.0, z2=float(b), t2=0.0)
+            for a, b in z[accept][: count - len(points)]
+        ]
     return points

@@ -287,12 +287,14 @@ def test_config_errors(tmp_path, capsys):
         ("ensemble", "weighting = eigenvalue", "weighting = gaussian"),
         ("ensemble", "seed = 11", "seed = -1"),
         ("simulate", "scheme = midpoint", "scheme = rk4"),
+        ("covariance", "epsilons = 0.02 0.01 0.005\ntotal_proper_time = 2.0",
+         "total_proper_time = -1.0"),
     ],
     ids=["alpha-overflow", "model-alpha-overflow", "infinite-proper-time",
          "zero-epsilon", "velocity-at-guard", "nan-alpha", "infinite-epsilon",
          "epsilon-not-dividing", "wave-number-overflow", "mode-index-overflow",
          "mass-overflow", "zero-count", "unknown-weighting", "negative-seed",
-         "unknown-scheme"],
+         "unknown-scheme", "negative-proper-time-without-epsilons"],
 )
 def test_invalid_config_values(tmp_path, capsys, command, old, new):
     """Out-of-range numbers are config errors naming their key and line."""

@@ -1,6 +1,7 @@
 """Equal-proper-time stepping, trajectory contracts, hyperplane sampling."""
 
 import math
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -662,7 +663,8 @@ def test_nan_weight_in_a_late_block_is_an_error(model):
     """A NaN weight anywhere on the grid makes the bound fail, whichever
     block holds it."""
     state = NanAtOnePoint(model.terms)
-    with pytest.raises(SamplingError):
+    hole = re.escape(f"({float(state.GRID[3])!r}, {float(state.GRID[200])!r})")
+    with pytest.raises(SamplingError, match=f"not finite at \\(z1, z2\\) = {hole}"):
         _weight_bound(state)
     with pytest.raises(SamplingError):
         pf.sample_hyperplane(state, 5, "eigenvalue", seed=1)
@@ -691,6 +693,30 @@ def test_uniform_sampler_stays_inside_a_boosted_well(model):
     assert pf.sample_hyperplane(model, 2000, seed=4) == [
         pf.ConfigPoint(float(a), 0.0, float(b), 0.0) for a, b in draws
     ]
+
+
+def test_unboosted_uniform_sample_is_the_first_draw_across_chunks(model):
+    """5,000 points span two proposal chunks and are still the seed's first
+    (5000, 2) draw: kept points follow the stream order."""
+    draws = np.random.default_rng(8).uniform(0.0, L, size=(5000, 2))
+    assert pf.sample_hyperplane(model, 5000, "uniform", seed=8) == [
+        pf.ConfigPoint(float(a), 0.0, float(b), 0.0) for a, b in draws
+    ]
+
+
+def test_boosted_uniform_sample_is_seeded_and_uniform_in_the_well(model):
+    """A boosted uniform sample reruns identically, lies in
+    0 < z cosh(alpha) < L, and its z-means sit within 4 sigma of the
+    well's midpoint L / (2 cosh alpha)."""
+    alpha, n = 0.5, 4000
+    moving = pf.boosted(model, pf.Rapidity(alpha))
+    points = pf.sample_hyperplane(moving, n, seed=4)
+    assert pf.sample_hyperplane(moving, n, seed=4) == points
+    z = np.array([(q.z1, q.z2) for q in points])
+    assert len(points) == n and (z > 0.0).all() and (z * math.cosh(alpha) < L).all()
+    width = L / math.cosh(alpha)
+    sigma = width / math.sqrt(12.0 * n)
+    assert (np.abs(z.mean(axis=0) - width / 2.0) < 4.0 * sigma).all()
 
 
 class Closed(Silent):

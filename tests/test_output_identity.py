@@ -56,14 +56,16 @@ def test_every_kind_of_difference_is_listed_in_path_order(tool, tmp_path):
 
 def test_cases_cover_both_configs_commands_schemes_and_demos(tool):
     names = [name for name, _ in tool.cases()]
-    assert len(names) == len(set(names)) == 2 * 3 * 2 + 1 + 8 + len(
+    assert len(names) == len(set(names)) == 2 * 3 * 2 + 1 + 8 + 4 + len(
         list((TOOL.parents[1] / "demos").glob("*.py"))
     )
     assert "fig1-covariance-euler" in names and "fig2-ensemble-seed7" in names
     assert {"fig2-uniform-ensemble", "fig2-model-boost-simulate",
             "fig2-boost-alpha-covariance", "fig2-node-floor-simulate",
             "fig2-outside-simulate", "fig2-bad-scheme-simulate",
-            "fig2-boost-ensemble-ensemble", "fig2-modes-ensemble-ensemble"} <= set(names)
+            "fig2-boost-ensemble-ensemble", "fig2-modes-ensemble-ensemble",
+            "covariance-boost-531-85", "covariance-boost-5108-156",
+            "covariance-boost-17006-281", "covariance-boost-18001-109"} <= set(names)
     for name in tool.VARIANTS:  # every edit applies to fig2.cfg
         assert tool.variant_text(name) != (TOOL.parents[1] / "configs" / "fig2.cfg").read_text()
 

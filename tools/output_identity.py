@@ -21,6 +21,10 @@ the same cases on both sides, each side importing properflow from its own
 - three failing variants of fig2 through ``simulate``: ``z1 = 0.0000001``
   (node floor, exit 3), ``z1 = -0.5`` (outside the well, exit 5) and
   ``scheme = rk4`` (config error, exit 2);
+- four near-null starts of the ``covariance-boost`` benchmark workload
+  through ``covariance``: seed/invocation 531/85, 5108/156, 17006/281
+  and 18001/109, whose deviations exceed ``bench/check.py``'s 1e-9,
+  each config built by this checkout's ``bench/workloads.py``;
 - every script in this checkout's ``demos/``, run from that side's
   ``demos/``.
 
@@ -38,6 +42,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import runpy
 import shutil
 import subprocess
 import sys
@@ -66,6 +71,19 @@ VARIANTS = {
     "fig2-bad-scheme": ("simulate", (("scheme = midpoint", "scheme = rk4"),)),
 }
 
+# (seed, invocation) of the covariance-boost starts whose frame deviations
+# exceed bench/check.py's 1e-9 (ROADMAP item 17): pinned so that a change
+# to them shows as a difference, not only as a failed benchmark run.
+NEAR_NULL = ((531, 85), (5108, 156), (17006, 281), (18001, 109))
+
+
+def near_null_invocations() -> dict:
+    """case name -> ``Invocation`` of each NEAR_NULL start, from this
+    checkout's ``bench/workloads.py``."""
+    invocation = runpy.run_path(str(ROOT / "bench" / "workloads.py"))["invocation"]
+    return {f"covariance-boost-{seed}-{k}": invocation("covariance-boost", seed, k)
+            for seed, k in NEAR_NULL}
+
 
 def variant_text(name: str) -> str:
     """configs/fig2.cfg with the edits of variant ``name``; ValueError
@@ -93,6 +111,8 @@ def cases() -> list[tuple[str, list[str]]]:
     runs += [(f"{name}-{command}",
               ["-m", "properflow.cli", command, "--config", f"../{name}.cfg", "--out", "out"])
              for name, (command, _) in VARIANTS.items()]
+    runs += [(name, ["-m", "properflow.cli", *inv.argv(Path(f"../{name}.cfg"), Path("out"))])
+             for name, inv in near_null_invocations().items()]
     runs += [(f"demo-{demo.stem}", [f"demos/{demo.name}"])
              for demo in sorted((ROOT / "demos").glob("*.py"))]
     return runs
@@ -105,6 +125,8 @@ def run_side(tree: Path, results: Path) -> None:
         shutil.copyfile(ROOT / "configs" / f"{cfg}.cfg", results / f"{cfg}.cfg")
     for name in VARIANTS:
         (results / f"{name}.cfg").write_text(variant_text(name))
+    for name, inv in near_null_invocations().items():
+        (results / f"{name}.cfg").write_text(inv.config_text)
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
     for name, args in cases():
         case = results / name
