@@ -33,7 +33,12 @@ class NodeProximityError(FlowError):
 
 
 class NoTimelikeFlowError(FlowError):
-    """Stress tensor has no real timelike eigenvector."""
+    """Stress tensor has no real timelike eigenvector.
+
+    A tensor assembled from a state has disc = (2 D- D+)^2 >= 0, so only
+    ``eigenflows`` raises this, on such a tensor only from rounding, or on
+    a tensor built by hand; the run path's closed form never does.
+    """
 
 
 class DegenerateFlowError(FlowError):

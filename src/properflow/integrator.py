@@ -14,28 +14,29 @@ the well) do not propagate out of ``integrate``; the partial trajectory is
 returned with a termination tag naming the cause, the ``tag`` of the
 error's class.
 
-The per-point chain runs on plain floats: ``log_ratios`` (domain guard,
-fields, node guard, log-gradient ratios), then ``tensor_entries`` and
-``flow_entries`` per particle, and ``null_step`` per displacement.  These
-float kernels are the bodies of the public ``log_derivatives``,
-``assemble``, ``eigenflows`` and ``proper_step``, which wrap their tuples
-in value objects, so both routes give the same bits.
+The per-point chain is ``_flows``: ``_checked_fields`` (domain guard,
+fields, node guard), then ``null_flow``'s closed-form eigenvalue and
+velocity per particle, and ``null_step`` per displacement.  It runs on
+plain floats for one start and agrees with the public route
+``log_derivatives`` -> ``assemble`` -> ``eigenflows`` -> ``proper_step``
+to rounding.
 
 An ensemble runs in lockstep: ``integrate`` given a sequence of starts
 instead of one ``ConfigPoint`` steps every member at once as numpy arrays
 through the same kernels, which choose their path by input type.  There
 each guard is a mask instead of an exception; a member stops recording
 at its first fault, tagged by the guard the float chain would have met
-first (domain, node, particle 1's flow, particle 2's flow), and agrees
-with a single-start run to rounding.  The sampler's eigenvalue weights
-come from the same array kernels.
+first (domain, node, then either particle's flow), and agrees with a
+single-start run to rounding.  The sampler's eigenvalue weights come
+from the same ``_flows``.
 
-Both loops share one step and one record builder.  ``_advance`` holds
-the midpoint stage and the displacement for floats and arrays alike.  A
-step that leaves the well is caught, in both loops, by the domain guard
-of the next evaluation, which ends the run with ``boundary_abort`` after
-the last point inside; only the public ``step``, which evaluates nothing
-after it, checks the point it reaches itself.
+Both loops share one ``_flows``, one step and one record builder.
+``_advance`` holds the midpoint stage and the displacement for floats
+and arrays alike.  A step that leaves the well is caught, in both loops,
+by the domain guard of the next evaluation, which ends the run with
+``boundary_abort`` after the last point inside; only the public
+``step``, which evaluates nothing after it, checks the point it reaches
+itself.
 
 Each loop appends rows (z1, t1, z2, t2, v1, v2, lambda1, lambda2), and
 a ``Trajectory`` is built from those rows alone and stores them: the
@@ -61,8 +62,8 @@ from .errors import (
     SamplingError,
 )
 from .minkowski import null_step
-from .stress_energy import characteristic, flow_entries, tensor_entries
-from .wavefield import ConfigPoint, WaveModel, log_ratios
+from .stress_energy import null_flow
+from .wavefield import ConfigPoint, WaveModel, _checked_fields
 
 Scheme = Literal["euler", "midpoint"]
 SCHEMES: tuple[str, ...] = ("euler", "midpoint")
@@ -138,42 +139,24 @@ class Trajectory:
         return _ABORTS[TERMINATIONS.index(self.termination) - 1].exit_code
 
 
-def _flow(p, r_t, r_z, m: float):
-    """``flow_entries`` from a particle's log-gradient ratios."""
-    tt, tz, zt, zz, _ = tensor_entries(p, r_t.real, r_z.real, r_t.imag, r_z.imag, m)
-    return flow_entries(tt, tz, zt, zz)
-
-
-def _flows(model: WaveModel, z1: float, t1: float, z2: float, t2: float):
-    """(v1, lambda1, v2, lambda2, 0) at one configuration point; the 0
-    stands for ``_array_flows``' fault, as a float guard raises instead."""
-    _, p, r1t, r1z, r2t, r2z = log_ratios(model, z1, t1, z2, t2)
-    m = model.mass
-    lam1, _, v1 = _flow(p, r1t, r1z, m)
-    lam2, _, v2 = _flow(p, r2t, r2z, m)
-    return v1, lam1, v2, lam2, 0
-
-
-def _array_flows(model: WaveModel, z1, t1, z2, t2):
-    """(v1, lambda1, v2, lambda2, fault) at arrays of configuration points.
+def _flows(model: WaveModel, z1, t1, z2, t2):
+    """(v1, lambda1, v2, lambda2, fault) at a configuration point, or at
+    arrays of them.
 
     fault is, per point, the index in TERMINATIONS of the tag the float
-    chain would give there (0 where every guard passes), taking the guards
-    in the float chain's order: domain, node, then each particle's flow.
+    chain gives there (0 where every guard passes), taking the guards in
+    its order: domain, node, then either particle's flow.  Floats raise
+    at the first guard instead, so their fault is always 0.
     """
-    _, p, r1t, r1z, r2t, r2z, outside, node = log_ratios(model, z1, t1, z2, t2)
-    # Both particles in one pass, particle 1's entries first: half the
-    # numpy calls, the same values.
-    n = len(p)
-    lam, _, v, bad = _flow(
-        np.concatenate((p, p)),
-        np.concatenate((r1t, r2t)),
-        np.concatenate((r1z, r2z)),
-        model.mass,
-    )
-    flow = _DEGENERATE * (bad[:n] | bad[n:])
-    fault = np.where(outside, _BOUNDARY, np.where(node, _NODE, flow))
-    return v[:n], lam[:n], v[n:], lam[n:], fault
+    a2, _, dt1, dz1, dt2, dz2, guards = _checked_fields(model, z1, t1, z2, t2)
+    m2a2 = model.mass * model.mass * a2
+    lam1, v1, bad1 = null_flow(m2a2, dt1, dz1)
+    lam2, v2, bad2 = null_flow(m2a2, dt2, dz2)
+    fault = _DEGENERATE * (bad1 | bad2)
+    if guards:
+        outside, node = guards
+        fault = np.where(outside, _BOUNDARY, np.where(node, _NODE, fault))
+    return v1, lam1, v2, lam2, fault
 
 
 def _displace(q, v1, v2, h):
@@ -185,16 +168,16 @@ def _displace(q, v1, v2, h):
     return z1 + dz1, t1 + dt1, z2 + dz2, t2 + dt2
 
 
-def _advance(flows, model, q, v1, v2, h, scheme):
+def _advance(model, q, v1, v2, h, scheme):
     """(q after the signed step h, midpoint stage's fault) from q with
-    velocities v1, v2 there; flows is ``_flows`` or ``_array_flows``.
+    velocities v1, v2 there; floats or arrays.
 
     euler steps along v1, v2; midpoint along the velocities at the half
     step, whose evaluation gives the fault (always 0 for euler).
     """
     fault = 0
     if scheme == "midpoint":
-        v1, _, v2, _, fault = flows(model, *_displace(q, v1, v2, 0.5 * h))
+        v1, _, v2, _, fault = _flows(model, *_displace(q, v1, v2, 0.5 * h))
     return _displace(q, v1, v2, h), fault
 
 
@@ -236,7 +219,7 @@ def step(
         raise ValueError(f"direction must be +1 or -1, got {direction!r}")
     start = (float(q.z1), float(q.t1), float(q.z2), float(q.t2))
     v1, _, v2, _, _ = _flows(model, *start)
-    reached, _ = _advance(_flows, model, start, v1, v2, direction * epsilon, scheme)
+    reached, _ = _advance(model, start, v1, v2, direction * epsilon, scheme)
     if not model.contains(*reached):
         raise BoundaryError(f"step left the well region at {ConfigPoint(*reached)}")
     return ConfigPoint(*reached)
@@ -255,7 +238,7 @@ def _integrate(
             rows.append(q + (v1, v2, lam1, lam2))
             if j == n_steps:
                 break
-            q, _ = _advance(_flows, model, q, v1, v2, h, scheme)
+            q, _ = _advance(model, q, v1, v2, h, scheme)
         except FlowError as err:
             if not rows:
                 raise
@@ -280,13 +263,13 @@ def _lockstep(
     rows = []
     with np.errstate(all="ignore"):
         for j in range(n_steps + 1):
-            v1, lam1, v2, lam2, fault = _array_flows(model, *q)
+            v1, lam1, v2, lam2, fault = _flows(model, *q)
             ended = np.where(ended, ended, fault)
             counts += ended == 0
             rows.append(q + (v1, v2, lam1, lam2))
             if j == n_steps or ended.all():
                 break
-            q, fault = _advance(_array_flows, model, q, v1, v2, epsilon, scheme)
+            q, fault = _advance(model, q, v1, v2, epsilon, scheme)
             ended = np.where(ended, ended, fault)
     # [member, record, column], columns as in a Trajectory row.
     table = np.array(rows).transpose(2, 0, 1)
@@ -355,33 +338,16 @@ def _particle_distance(a, b) -> float:
     return max(math.hypot(ta1 - tb1, za1 - zb1), math.hypot(ta2 - tb2, za2 - zb2))
 
 
-def _timelike_lambdas(model: WaveModel, z1, t1, z2, t2):
-    """(lambda1, lambda2, ok) at arrays of points, for sampling weights.
-
-    Each lambda is the larger root (tr + sqrt(disc)) / 2 of the particle's
-    ``tensor_entries``, which is its timelike eigenvalue; ok masks the
-    points that pass the domain and node guards.
-    """
-    _, p, r1t, r1z, r2t, r2z, outside, node = log_ratios(model, z1, t1, z2, t2)
-    lams = []
-    for r_t, r_z in ((r1t, r1z), (r2t, r2z)):
-        tt, tz, zt, zz, _ = tensor_entries(
-            p, r_t.real, r_z.real, r_t.imag, r_z.imag, model.mass
-        )
-        tr, disc = characteristic(tt, tz, zt, zz)
-        lams.append(0.5 * (tr + np.sqrt(disc)))
-    return lams[0], lams[1], ~(outside | node)
-
-
 def _eigenvalue_weights(model: WaveModel, z1: np.ndarray, z2: np.ndarray) -> np.ndarray:
-    """lambda1 * lambda2 on the t1 = t2 = 0 hyperplane; zero where guarded.
+    """lambda1 * lambda2 on the t1 = t2 = 0 hyperplane; zero where the
+    domain or node guard fails.
 
     z1 and z2 broadcast against each other, so a grid can be passed as a
     row and a column and each mode is evaluated once per grid line.
     """
     with np.errstate(all="ignore"):
-        lam1, lam2, ok = _timelike_lambdas(model, z1, np.zeros_like(z1), z2, np.zeros_like(z2))
-        return np.where(ok, lam1 * lam2, 0.0)
+        _, lam1, _, lam2, fault = _flows(model, z1, np.zeros_like(z1), z2, np.zeros_like(z2))
+        return np.where(np.isin(fault, (_NODE, _BOUNDARY)), 0.0, lam1 * lam2)
 
 
 def _weight_bound(model: WaveModel) -> float:

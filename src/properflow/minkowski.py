@@ -14,7 +14,7 @@ e^{-a} (on v) and e^{+a} (on u).
 
 ``null_step`` is the unguarded kernel, for a float velocity or an array of
 them alike (numpy runs the same expressions elementwise): its callers pass
-velocities already held to the light-speed guard (``flow_entries``).  The
+velocities already held to the light-speed guard (``null_flow``).  The
 public ``proper_step`` holds the guards, epsilon > 0 and then light speed.
 """
 

@@ -15,23 +15,30 @@ The flow direction at a point is the future-pointing timelike eigenvector
 of T^mu_nu.  ``eigenflows`` finds it in plain floats: the two roots come
 from the characteristic discriminant, each eigenvector from the larger
 row of T - lambda I, and the timelike one is picked by the sign of its
-Minkowski norm.  For tensors of the form above the two eigenvalues are
-always real; one eigenvector is timelike and one spacelike whenever the
-P and S gradient pairs are linearly independent.  The closed-form branch
-velocity (``velocity_closed_form``) reproduces the same direction where
-its branch parameter theta is defined and is kept only as a cross-check:
-it degenerates on every pure product or stationary configuration
-(P.S = 0), while the eigenvector route stays regular there.
+Minkowski norm.  The closed-form branch velocity
+(``velocity_closed_form``) reproduces the same direction where its branch
+parameter theta is defined and is kept only as a cross-check: it
+degenerates on every pure product or stationary configuration (P.S = 0),
+while the eigenvector route stays regular there.
 
-Assembly and the eigen solve are float kernels returning tuples:
-``tensor_entries`` (the body of ``assemble``) and ``flow_entries`` (the
-body of ``eigenflows``).  The public functions wrap them in
-``StressTensor`` and ``TimelikeFlow``; the integrator calls the kernels
-directly, so no value object is built per evaluation.  Both kernels also
-take numpy arrays, one entry per ensemble member: the path is chosen by
-input type, the arrays run through the same expressions in the same
-order, branches become ``np.where`` selections and the guards of
-``flow_entries`` come back as a mask instead of an exception.
+In null coordinates u = t - z and v = t + z the tensor's diagonal entries
+are equal, which gives the eigenvector in closed form.  With
+D-+ = |dPsi/dt -+ dPsi/dz| for the particle,
+
+    lambda_time = m^2 |Psi|^2 + D- D+,   lambda_space = m^2 |Psi|^2 - D- D+,
+    v = (D- - D+) / (D- + D+),
+
+so disc = (2 D- D+)^2 is never negative, the timelike/spacelike split
+fails only where D- D+ = 0, and a particle is static where D- = D+.  A
+boost scales D- by e^{-a} and D+ by e^{+a}, so the degeneracy floor
+(D- D+)^2 <= 1e-12 (m^2 |Psi|^2)^2, ``eigenflows``' disc against
+1e-12 (tr T)^2, is the same in every frame; holding at equality, it
+also takes D- D+ = 0 at m = 0 as degenerate.
+
+``null_flow`` is that closed form.  The integrator and the sampler read
+every flow from it, on floats (raising) or on numpy arrays (returning a
+mask) alike; ``log_derivatives`` -> ``assemble`` -> ``eigenflows`` stays
+as the independent route it is checked against.
 """
 
 from __future__ import annotations
@@ -49,8 +56,9 @@ from .errors import (
 from .minkowski import VELOCITY_LIMIT, FourVector
 from .wavefield import ConfigPoint, LogDerivatives, WaveModel, log_derivatives, shift_particle
 
-# Characteristic discriminants below this fraction of (tr T)^2 are treated
-# as degenerate rather than resolved into eigenvectors.
+# Characteristic discriminants below this fraction of (tr T)^2, in
+# null_flow (D- D+)^2 against (m^2 |Psi|^2)^2, are treated as degenerate
+# rather than resolved into eigenvectors.
 DEGENERACY_FLOOR_RATIO = 1e-12
 
 # Relative floor on |2 P.S| under which the closed-form branch parameter
@@ -113,40 +121,27 @@ class TimelikeFlow:
         return FourVector(t=gamma, z=gamma * self.v)
 
 
-def tensor_entries(
-    p: float, pt: float, pz: float, st: float, sz: float, m: float
-) -> tuple[float, float, float, float, float]:
-    """Float kernel of ``assemble``: (tt, tz, zt, zz, |Psi|^2) of one particle.
-
-    p = ln|Psi| and (pt, pz, st, sz) are the particle's lower-index
-    gradients of p and s.  Arrays of p and gradients give arrays of entries.
-    """
+def assemble(ld: LogDerivatives, i: int, m: float) -> StressTensor:
+    """Mixed stress tensor of particle i from log-polar gradients."""
     if not m >= 0.0:
         raise ValueError(f"mass must be nonnegative, got {m!r}")
-    two_p = 2.0 * p
-    a2 = math.exp(two_p) if isinstance(two_p, float) else np.exp(two_p)
-    pp = pt * pt - pz * pz
-    ss = st * st - sz * sz
-    iso = a2 * (m * m - pp - ss)
+    pt, pz, st, sz = ld.particle(i)
+    a2 = math.exp(2.0 * ld.p)
+    iso = a2 * (m * m - (pt * pt - pz * pz) - (st * st - sz * sz))
     two_a2 = 2.0 * a2
     # Raising the first index flips the sign of the z-row terms: T^z_t is
     # -T^t_z, bit for bit, as both products are rounded symmetrically.
     tz = two_a2 * (pt * pz + st * sz)
-    return (
-        iso + two_a2 * (pt * pt + st * st),
-        tz,
-        -tz,
-        iso - two_a2 * (pz * pz + sz * sz),
-        a2,
+    return StressTensor(
+        tt=iso + two_a2 * (pt * pt + st * st),
+        tz=tz,
+        zt=-tz,
+        zz=iso - two_a2 * (pz * pz + sz * sz),
+        amplitude2=a2,
     )
 
 
-def assemble(ld: LogDerivatives, i: int, m: float) -> StressTensor:
-    """Mixed stress tensor of particle i from log-polar gradients."""
-    return StressTensor(*tensor_entries(ld.p, *ld.particle(i), m))
-
-
-def _row_eigvec(tt, tz, zt, zz, lam, array):
+def _row_eigvec(tt, tz, zt, zz, lam):
     """Eigenvector of T for eigenvalue lam from the larger row of T - lam I.
 
     A row (a, b) of the rank-one matrix T - lam I annihilates the
@@ -154,62 +149,44 @@ def _row_eigvec(tt, tz, zt, zz, lam, array):
     carries the smaller relative rounding error.  Each entry subtracts
     exactly representable components, so nearly lightlike directions stay
     resolvable where a backward-stable solver rounds onto the light cone.
-    ``array`` is the path ``flow_entries`` chose.
     """
     r1t, r1z = tz, lam - tt
     r2t, r2z = lam - zz, zt
-    if array:
-        first = np.maximum(abs(r1t), abs(r1z)) >= np.maximum(abs(r2t), abs(r2z))
-        return np.where(first, r1t, r2t), np.where(first, r1z, r2z)
-    # max(x, y) written out, with the builtin's rule (y only where y > x):
-    # a call to max costs more than the comparison.
-    a, b, c, d = abs(r1t), abs(r1z), abs(r2t), abs(r2z)
-    if (b if b > a else a) >= (d if d > c else c):
+    if max(abs(r1t), abs(r1z)) >= max(abs(r2t), abs(r2z)):
         return r1t, r1z
     return r2t, r2z
 
 
-def characteristic(tt, tz, zt, zz):
-    """(tr, disc): trace of T and discriminant tr^2 - 4 det of its
-    characteristic polynomial, whose roots are (tr +/- sqrt(disc)) / 2.
+def eigenflows(T: StressTensor) -> TimelikeFlow:
+    """Timelike flow of T and both eigenvalues, computed in plain floats.
 
-    For a tensor assembled from gradients the larger root is the timelike
-    eigenvalue.  Elementwise on arrays.
+    The roots lambda = (tr +/- sqrt(disc)) / 2 come from the characteristic
+    discriminant disc = tr^2 - 4 det, and each eigenvector from the larger
+    row of T - lambda I.  The timelike eigenvector is picked by the sign of
+    its Minkowski norm, never by root order.  This is the reference route:
+    the integrator reads the same flow from ``null_flow``'s closed form.
+
+    Raises no-timelike-flow for a negative discriminant (complex roots),
+    degenerate-flow when the discriminant falls below the degeneracy floor
+    or the eigenvectors do not split into one timelike and one spacelike
+    direction, and lightlike-velocity when the flow velocity reaches the
+    light-speed guard.
     """
+    tt, tz, zt, zz = T.tt, T.tz, T.zt, T.zz
     tr = tt + zz
-    return tr, tr * tr - 4.0 * (tt * zz - tz * zt)
-
-
-def flow_entries(tt, tz, zt, zz):
-    """Float kernel of ``eigenflows``: (lambda_time, lambda_space, v).
-
-    Arrays of entries return (lambda_time, lambda_space, v, bad), where the
-    mask ``bad`` is True wherever a float tensor would raise; the values
-    there are meaningless and may be inf or nan.
-    """
-    tr, disc = characteristic(tt, tz, zt, zz)
-    array = not isinstance(disc, float)
-    if array:
-        bad = (disc < 0.0) | (disc < DEGENERACY_FLOOR_RATIO * tr * tr)
-        root = np.sqrt(disc)
-    else:
-        if disc < 0.0:
-            raise NoTimelikeFlowError(f"complex eigenvalue pair (discriminant {disc!r})")
-        if disc < DEGENERACY_FLOOR_RATIO * tr * tr:
-            raise DegenerateFlowError(
-                f"discriminant {disc!r} below degeneracy floor for trace {tr!r}"
-            )
-        root = math.sqrt(disc)
+    disc = tr * tr - 4.0 * (tt * zz - tz * zt)
+    if disc < 0.0:
+        raise NoTimelikeFlowError(f"complex eigenvalue pair (discriminant {disc!r})")
+    if disc < DEGENERACY_FLOOR_RATIO * tr * tr:
+        raise DegenerateFlowError(
+            f"discriminant {disc!r} below degeneracy floor for trace {tr!r}"
+        )
+    root = math.sqrt(disc)
     lam_hi, lam_lo = 0.5 * (tr + root), 0.5 * (tr - root)
-    ht, hz = _row_eigvec(tt, tz, zt, zz, lam_hi, array)
-    lt, lz = _row_eigvec(tt, tz, zt, zz, lam_lo, array)
+    ht, hz = _row_eigvec(tt, tz, zt, zz, lam_hi)
+    lt, lz = _row_eigvec(tt, tz, zt, zz, lam_lo)
     n_hi, n_lo = (ht - hz) * (ht + hz), (lt - lz) * (lt + lz)
-    if array:
-        hi = (n_hi > 0.0) & (0.0 > n_lo)
-        bad |= ~(hi | ((n_lo > 0.0) & (0.0 > n_hi)))
-        wt, wz = np.where(hi, ht, lt), np.where(hi, hz, lz)
-        lam_time, lam_space = np.where(hi, lam_hi, lam_lo), np.where(hi, lam_lo, lam_hi)
-    elif n_hi > 0.0 > n_lo:
+    if n_hi > 0.0 > n_lo:
         wt, wz, lam_time, lam_space = ht, hz, lam_hi, lam_lo
     elif n_lo > 0.0 > n_hi:
         wt, wz, lam_time, lam_space = lt, lz, lam_lo, lam_hi
@@ -219,30 +196,41 @@ def flow_entries(tt, tz, zt, zz):
         )
     # Adding +0.0 turns a -0.0 from an exactly vanishing row entry into 0.0.
     v = wz / wt + 0.0
-    if array:
-        return lam_time, lam_space, v, bad | ~(abs(v) < VELOCITY_LIMIT)
     if not abs(v) < VELOCITY_LIMIT:
         raise LightlikeVelocityError(
             f"flow velocity {v!r} at or beyond the light-speed guard"
         )
-    return lam_time, lam_space, v
+    return TimelikeFlow(lam_time, lam_space, v)
 
 
-def eigenflows(T: StressTensor) -> TimelikeFlow:
-    """Timelike flow of T and both eigenvalues, computed in plain floats.
+def null_flow(m2a2, d_t, d_z):
+    """(lambda_time, v, bad) of one particle from m^2 |Psi|^2 and its
+    field derivatives d_t = dPsi/dt_i and d_z = dPsi/dz_i.
 
-    The roots lambda = (tr +/- sqrt(disc)) / 2 come from the characteristic
-    discriminant disc = tr^2 - 4 det, and each eigenvector from the larger
-    row of T - lambda I.  The timelike eigenvector is picked by the sign of
-    its Minkowski norm, never by root order.
-
-    Raises no-timelike-flow for a negative discriminant (complex roots),
-    degenerate-flow when the discriminant falls below the degeneracy floor
-    or the eigenvectors do not split into one timelike and one spacelike
-    direction, and lightlike-velocity when the flow velocity reaches the
-    light-speed guard.
+    With D-+ = |d_t -+ d_z|, lambda_time = m^2 |Psi|^2 + D- D+ and
+    v = (D- - D+) / (D- + D+): ``eigenflows``' timelike eigenvalue and
+    velocity in closed form.  Floats raise degenerate-flow where
+    (D- D+)^2 is not above the degeneracy floor times (m^2 |Psi|^2)^2, and
+    then lightlike-velocity at the light-speed guard, and give bad = False.
+    Arrays are evaluated everywhere and give instead the mask bad, True
+    wherever a float would raise; v there is meaningless.
     """
-    return TimelikeFlow(*flow_entries(T.tt, T.tz, T.zt, T.zz))
+    d_minus, d_plus = abs(d_t - d_z), abs(d_t + d_z)
+    dd = d_minus * d_plus
+    floor = DEGENERACY_FLOOR_RATIO * m2a2 * m2a2
+    if not isinstance(dd, float):
+        v = (d_minus - d_plus) / (d_minus + d_plus)
+        return m2a2 + dd, v, ~((dd * dd > floor) & (abs(v) < VELOCITY_LIMIT))
+    if not dd * dd > floor:
+        raise DegenerateFlowError(
+            f"D-D+ = {dd!r} at or below the degeneracy floor for m^2|Psi|^2 = {m2a2!r}"
+        )
+    v = (d_minus - d_plus) / (d_minus + d_plus)
+    if not abs(v) < VELOCITY_LIMIT:
+        raise LightlikeVelocityError(
+            f"flow velocity {v!r} at or beyond the light-speed guard"
+        )
+    return m2a2 + dd, v, False
 
 
 def velocity_closed_form(ld: LogDerivatives, i: int) -> float:

@@ -376,19 +376,6 @@ def _checked_fields(model: WaveModel, z1, t1, z2, t2):
     return a2, psi, complex(dt1), complex(dz1), complex(dt2), complex(dz2), ()
 
 
-def log_ratios(model: WaveModel, z1, t1, z2, t2):
-    """Float kernel of ``log_derivatives``: (Psi, p, r1t, r1z, r2t, r2z).
-
-    p = ln|Psi| and r_i = (d Psi / Psi) per coordinate of particle i, whose
-    real and imaginary parts are the gradients of p and s.  Arrays of
-    coordinates return arrays, followed by the masks (outside, node) of
-    the domain and node guards.
-    """
-    a2, psi, dt1, dz1, dt2, dz2, guards = _checked_fields(model, z1, t1, z2, t2)
-    log = np.log if guards else math.log
-    return (psi, 0.5 * log(a2), dt1 / psi, dz1 / psi, dt2 / psi, dz2 / psi) + guards
-
-
 def log_derivatives(model: WaveModel, q: ConfigPoint) -> LogDerivatives:
     """Log-polar value and gradients of Psi at q.
 
@@ -396,9 +383,10 @@ def log_derivatives(model: WaveModel, q: ConfigPoint) -> LogDerivatives:
     complex ratios (d Psi / Psi), i.e. lower-index coordinate derivatives
     of p = ln|Psi| and s = arg Psi.
     """
-    psi, p, r1t, r1z, r2t, r2z = log_ratios(model, q.z1, q.t1, q.z2, q.t2)
+    a2, psi, dt1, dz1, dt2, dz2, _ = _checked_fields(model, q.z1, q.t1, q.z2, q.t2)
+    r1t, r1z, r2t, r2z = dt1 / psi, dz1 / psi, dt2 / psi, dz2 / psi
     return LogDerivatives(
-        p=p,
+        p=0.5 * math.log(a2),
         s=math.atan2(psi.imag, psi.real),
         p_t=(r1t.real, r2t.real),
         p_z=(r1z.real, r2z.real),

@@ -12,12 +12,7 @@ import pytest
 
 import properflow as pf
 from properflow.errors import BoundaryError, FlowError, NodeProximityError, SamplingError
-from properflow.integrator import (
-    SCHEMES,
-    _eigenvalue_weights,
-    _timelike_lambdas,
-    _weight_bound,
-)
+from properflow.integrator import SCHEMES, _eigenvalue_weights, _flows, _weight_bound
 
 L = math.pi
 EPS = 0.01
@@ -113,8 +108,9 @@ def _reference_run(model, q0, eps, n_steps, scheme, direction=1):
     """(records, termination, absorbed error) through the public layers.
 
     log_derivatives -> assemble -> eigenflows -> proper_step -> ConfigPoint,
-    with each layer's value object built and unpacked: the route the
-    integrator's float kernels must reproduce bit for bit.
+    with each layer's value object built and unpacked: an independent
+    route, through the eigen solve, that the integrator's closed-form
+    chain must reproduce to rounding.
     """
     d = float(direction)
     records, q = [], q0
@@ -326,14 +322,18 @@ OFFSET_STARTS = (
 )
 
 
+def _reference_trajectory(records, termination, scheme):
+    return pf.Trajectory(EPS, scheme, rows=[_row(r) for r in records], termination=termination)
+
+
 def test_integrate_matches_reference_route(model):
-    """The float chain reproduces the public layers bit for bit."""
+    """The float chain reproduces the public layers to rounding."""
     for q0 in OFFSET_STARTS:
         for scheme in SCHEMES:
             traj = pf.integrate(model, q0, EPS, 150, scheme)
             records, termination, _ = _reference_run(model, q0, EPS, 150, scheme)
             assert traj.termination == termination == "completed"
-            assert traj.records == tuple(records), (q0, scheme)
+            _assert_same_run(traj, _reference_trajectory(records, termination, scheme))
             back, termination, _ = _reference_run(
                 model, records[-1].q, EPS, 150, scheme, direction=-1
             )
@@ -343,25 +343,28 @@ def test_integrate_matches_reference_route(model):
                     math.hypot(b.q.t2 - f.q.t2, b.q.z2 - f.q.z2))
                 for b, f in zip(back, reversed(records))
             )
-            assert pf.reverse_check(model, traj) == worst
+            assert pf.reverse_check(model, traj) == pytest.approx(worst, abs=1e-12)
 
 
 def test_backward_step_matches_reference_route(model):
-    """step(direction=-1) is the reference route's first backward point, bit
-    for bit; any other direction is rejected."""
+    """step(direction=-1) is the reference route's first backward point, to
+    rounding; any other direction is rejected."""
     for q0 in OFFSET_STARTS:
         for scheme in SCHEMES:
             records, termination, _ = _reference_run(model, q0, EPS, 1, scheme, direction=-1)
             assert termination == "completed"
             back = pf.step(model, q0, EPS, scheme, direction=-1)
-            assert astuple(back) == astuple(records[1].q), (q0, scheme)
+            assert astuple(back) == pytest.approx(
+                astuple(records[1].q), rel=1e-12, abs=1e-12
+            ), (q0, scheme)
     for direction in (0, 2):
         with pytest.raises(ValueError, match="direction must be"):
             pf.step(model, OFFSET_STARTS[0], EPS, direction=direction)
 
 
 def test_aborts_match_reference_route(model):
-    """Same records, tag and absorbed error message when a run aborts."""
+    """Same records to rounding, same tag, record count and absorbed error
+    message when a run aborts."""
     cases = (
         (ShallowWell(model, 0.3), pf.ConfigPoint(1.2094, 0.8573, 1.1181, 0.0), 300,
          "node_abort", NodeProximityError),
@@ -373,7 +376,7 @@ def test_aborts_match_reference_route(model):
             traj = pf.integrate(capped, q0, EPS, n_steps, scheme)
             records, termination, err = _reference_run(capped, q0, EPS, n_steps, scheme)
             assert traj.termination == termination == tag
-            assert traj.records == tuple(records)
+            _assert_same_run(traj, _reference_trajectory(records, termination, scheme))
             absorbed = _absorbed_error(capped, records[-1].q, EPS, scheme)
             assert type(absorbed) is type(err) and isinstance(err, error)
             assert str(absorbed) == str(err)
@@ -596,7 +599,8 @@ def test_eigenvalue_sampler_matches_integrated_weight(model):
 
 
 def test_sampler_eigenvalue_formula_matches_eigenflows(model):
-    """The sampler's array root is the kernel's timelike eigenvalue."""
+    """The sampler's closed-form eigenvalues, on arrays, are the reference
+    route's timelike eigenvalues."""
     rng = np.random.default_rng(31)
     points = []
     while len(points) < 500:
@@ -608,12 +612,12 @@ def test_sampler_eigenvalue_formula_matches_eigenflows(model):
             continue
     z1, t1, z2, t2 = (np.array(c) for c in zip(*((q.z1, q.t1, q.z2, q.t2)
                                                   for q, _ in points)))
-    *sampled, ok = _timelike_lambdas(model, z1, t1, z2, t2)
-    assert ok.all()
-    for i in (1, 2):
+    _, lam1, _, lam2, fault = _flows(model, z1, t1, z2, t2)
+    assert not fault.any()
+    for i, sampled in ((1, lam1), (2, lam2)):
         kernel = np.array([pf.eigenflows(pf.assemble(ld, i, model.mass)).lambda_time
                            for _, ld in points])
-        assert np.max(np.abs(sampled[i - 1] / kernel - 1.0)) <= 1e-12
+        assert np.max(np.abs(sampled / kernel - 1.0)) <= 1e-12
 
 
 def test_sampler_validates_arguments(model):
@@ -646,6 +650,30 @@ def test_blocked_weight_bound_equals_one_pass(state):
     g = np.linspace(0.0, state.well_width, 241)[1:-1]
     one_pass = 1.25 * float(np.max(_eigenvalue_weights(state, g[None, :], g[:, None])))
     assert _weight_bound(state) == one_pass
+
+
+@pytest.mark.parametrize("state", _bound_states())
+def test_closed_form_matches_reference_route(state):
+    """At 500 random node-free points, the run path's closed-form v and
+    lambda equal the eigen solve's: v to 1e-13, lambda to 1e-12 relative,
+    or 1e-11 for m = 0, where lambda = D- D+ and the trace cancels."""
+    rng = np.random.default_rng(97)
+    width, rel = state.well_width, (1e-12 if state.mass > 0.0 else 1e-11)
+    compared = 0
+    while compared < 500:
+        q = pf.ConfigPoint(*(float(x) for x in rng.uniform((0.0, -2.0, 0.0, -2.0),
+                                                           (width, 2.0, width, 2.0))))
+        try:
+            ld = pf.log_derivatives(state, q)
+            ref = [pf.eigenflows(pf.assemble(ld, i, state.mass)) for i in (1, 2)]
+        except pf.FlowError:
+            continue
+        v1, lam1, v2, lam2, _ = _flows(state, *astuple(q))
+        assert (v1, v2) == pytest.approx((ref[0].v, ref[1].v), rel=0.0, abs=1e-13), q
+        assert (lam1, lam2) == pytest.approx(
+            (ref[0].lambda_time, ref[1].lambda_time), rel=rel, abs=0.0
+        ), q
+        compared += 1
 
 
 class NanAtOnePoint(pf.ModeSum):

@@ -1,6 +1,7 @@
 """The comparison of tools/output_identity.py on two result trees."""
 
 import importlib.util
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -56,7 +57,7 @@ def test_every_kind_of_difference_is_listed_in_path_order(tool, tmp_path):
 
 def test_cases_cover_both_configs_commands_schemes_and_demos(tool):
     names = [name for name, _ in tool.cases()]
-    assert len(names) == len(set(names)) == 2 * 3 * 2 + 1 + 8 + 4 + len(
+    assert len(names) == len(set(names)) == 2 * 3 * 2 + 1 + 8 + 5 + len(
         list((TOOL.parents[1] / "demos").glob("*.py"))
     )
     assert "fig1-covariance-euler" in names and "fig2-ensemble-seed7" in names
@@ -65,9 +66,65 @@ def test_cases_cover_both_configs_commands_schemes_and_demos(tool):
             "fig2-outside-simulate", "fig2-bad-scheme-simulate",
             "fig2-boost-ensemble-ensemble", "fig2-modes-ensemble-ensemble",
             "covariance-boost-531-85", "covariance-boost-5108-156",
-            "covariance-boost-17006-281", "covariance-boost-18001-109"} <= set(names)
+            "covariance-boost-17006-281", "covariance-boost-18001-109",
+            "covariance-boost-2523-254"} <= set(names)
     for name in tool.VARIANTS:  # every edit applies to fig2.cfg
         assert tool.variant_text(name) != (TOOL.parents[1] / "configs" / "fig2.cfg").read_text()
+
+
+TRAJECTORY = """# model.m = 1.0
+# max_deviation = 7.2600000000000001e-15
+# termination = completed
+sigma,z1,v1
+0,1,-0.38781923974405796
+0.01,0.99585577619511756,-0.37786234710564037
+"""
+
+
+def test_one_digit_difference_is_reported_by_column_and_size(tool, tmp_path):
+    """v1's last digit moves by 3 in row 2, one ulp (5.6e-17): one column,
+    that size in both units; rows and termination on both sides; no
+    non-numeric difference."""
+    moved = TRAJECTORY.replace("-0.37786234710564037", "-0.37786234710564034")
+    diff = tool.csv_diff(TRAJECTORY, moved)
+    assert diff.mismatches == []
+    assert list(diff.columns) == ["v1"]
+    size, ulps = diff.columns["v1"]
+    assert size == abs(-0.37786234710564037 - -0.37786234710564034)
+    assert size == math.ulp(0.37786234710564037) and ulps == 1.0
+    assert tool.csv_report(diff) == [
+        "    rows 2 | 2, termination completed | completed",
+        f"    v1: max |d| {size:.3g} (1 ulp)",
+    ]
+
+    parent = _tree(tmp_path / "parent", {"a/out/trajectory.csv": TRAJECTORY.encode()})
+    change = _tree(tmp_path / "change", {"a/out/trajectory.csv": moved.encode()})
+    differences = tool.compare_trees(parent, change)
+    lines, diffs = tool.numeric_report(parent, change, differences)
+    assert lines == ["differs: a/out/trajectory.csv", *tool.csv_report(diff)]
+    assert tool.numeric_summary(diffs) == [
+        "numeric report: 1 differing CSVs, 0 with non-numeric differences",
+        f"  trajectory.csv v1: max |d| {size:.3g} (1 ulp) in 1 files",
+    ]
+
+
+def test_comments_compare_by_key_and_non_numeric_lines_exactly(tool):
+    """A float comment value is measured like a column; the header, a
+    missing key, a changed termination and a dropped row are not."""
+    moved = (TRAJECTORY.replace("7.2600000000000001e-15", "8.1300000000000004e-15")
+             .replace("completed", "node_abort").replace("# model.m = 1.0\n", "")
+             .replace("sigma,z1,v1", "sigma,z1,v2").rsplit("0.01,", 1)[0])
+    diff = tool.csv_diff(TRAJECTORY, moved)
+    assert diff.rows == (2, 1) and diff.terminations == ("completed", "node_abort")
+    assert diff.mismatches == [
+        "rows: 2 != 1",
+        "# model.m: only in parent",
+        "# termination: 'completed' != 'node_abort'",
+        "header: [['sigma', 'z1', 'v1']] != [['sigma', 'z1', 'v2']]",
+    ]
+    assert list(diff.columns) == ["# max_deviation"]
+    assert diff.columns["# max_deviation"][0] == abs(8.13e-15 - 7.26e-15)
+    assert tool.numeric_report(Path("."), Path("."), []) == ([], {})
 
 
 def test_export_ref_writes_the_files_of_a_good_ref_only(tool, tmp_path):
