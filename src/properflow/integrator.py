@@ -1,9 +1,10 @@
 """Equal-proper-time trajectory integration and hyperplane sampling.
 
-Each iteration evaluates both particles' eigenflow velocities at the
-current configuration and advances every particle by the same signed
-proper-time step h along its own flow, so particle i moves by
-(dt, dz) = h (cosh a_i, sinh a_i).  A run forward takes h = epsilon and
+Each iteration evaluates both particles' eigenflows at the current
+configuration and advances every particle by the same signed proper-time
+step h along its own flow, so particle i moves by the null increments
+du = h e^{-a_i} and dv = h e^{+a_i}, that is (dt, dz) = h (cosh a_i,
+sinh a_i).  A run forward takes h = epsilon and
 ``reverse_check``'s run backward h = -epsilon; negating h negates every
 increment exactly.  Both schemes are stage-wise proper-time steps: euler
 uses the velocities at the current point, midpoint re-evaluates them at
@@ -15,11 +16,11 @@ returned with a termination tag naming the cause, the ``tag`` of the
 error's class.
 
 The per-point chain is ``_flows``: ``_checked_fields`` (domain guard,
-fields, node guard), then ``null_flow``'s closed-form eigenvalue and
-velocity per particle, and ``null_step`` per displacement.  It runs on
-plain floats for one start and agrees with the public route
-``log_derivatives`` -> ``assemble`` -> ``eigenflows`` -> ``proper_step``
-to rounding.
+fields, node guard), then ``null_flow``'s closed-form eigenvalue,
+velocity and e^a = sqrt(D-/D+) per particle.  ``_displace`` steps on
+that e^a, with no log or exp.  The chain runs on plain floats for one
+start and agrees with the public route ``log_derivatives`` ->
+``assemble`` -> ``eigenflows`` -> ``proper_step`` to rounding.
 
 An ensemble runs in lockstep: ``integrate`` given a sequence of starts
 instead of one ``ConfigPoint`` steps every member at once as numpy arrays
@@ -28,7 +29,8 @@ each guard is a mask instead of an exception; a member stops recording
 at its first fault, tagged by the guard the float chain would have met
 first (domain, node, then either particle's flow), and agrees with a
 single-start run to rounding.  The sampler's eigenvalue weights come
-from the same ``_flows``.
+from the same ``_checked_fields`` and null-flow eigenvalue, with no step
+factor.
 
 Both loops share one ``_flows``, one step and one record builder.
 ``_advance`` holds the midpoint stage and the displacement for floats
@@ -61,7 +63,6 @@ from .errors import (
     NodeProximityError,
     SamplingError,
 )
-from .minkowski import null_step
 from .stress_energy import null_flow
 from .wavefield import ConfigPoint, WaveModel, _checked_fields
 
@@ -140,8 +141,8 @@ class Trajectory:
 
 
 def _flows(model: WaveModel, z1, t1, z2, t2):
-    """(v1, lambda1, v2, lambda2, fault) at a configuration point, or at
-    arrays of them.
+    """(v1, lambda1, v2, lambda2, fault, e^a1, e^a2) at a configuration
+    point, or at arrays of them; e^ai is particle i's step factor.
 
     fault is, per point, the index in TERMINATIONS of the tag the float
     chain gives there (0 where every guard passes), taking the guards in
@@ -150,35 +151,37 @@ def _flows(model: WaveModel, z1, t1, z2, t2):
     """
     a2, _, dt1, dz1, dt2, dz2, guards = _checked_fields(model, z1, t1, z2, t2)
     m2a2 = model.mass * model.mass * a2
-    lam1, v1, bad1 = null_flow(m2a2, dt1, dz1)
-    lam2, v2, bad2 = null_flow(m2a2, dt2, dz2)
+    lam1, v1, ea1, bad1 = null_flow(m2a2, dt1, dz1)
+    lam2, v2, ea2, bad2 = null_flow(m2a2, dt2, dz2)
     fault = _DEGENERATE * (bad1 | bad2)
     if guards:
         outside, node = guards
         fault = np.where(outside, _BOUNDARY, np.where(node, _NODE, fault))
-    return v1, lam1, v2, lam2, fault
+    return v1, lam1, v2, lam2, fault, ea1, ea2
 
 
-def _displace(q, v1, v2, h):
+def _displace(q, ea1, ea2, h):
     """q = (z1, t1, z2, t2) after each particle's null step of signed proper
-    time h, forward for h > 0 and backward for h < 0; floats or arrays."""
+    time h, forward for h > 0 and backward for h < 0, from its step factor
+    e^a: dv = h e^a, du = h / e^a, dt = (du + dv) / 2, dz = (dv - du) / 2.
+    Floats or arrays; negating h negates every increment exactly."""
     z1, t1, z2, t2 = q
-    _, _, dt1, dz1 = null_step(v1, h)
-    _, _, dt2, dz2 = null_step(v2, h)
-    return z1 + dz1, t1 + dt1, z2 + dz2, t2 + dt2
+    dv1, du1, dv2, du2 = h * ea1, h / ea1, h * ea2, h / ea2
+    return (z1 + 0.5 * (dv1 - du1), t1 + 0.5 * (du1 + dv1),
+            z2 + 0.5 * (dv2 - du2), t2 + 0.5 * (du2 + dv2))
 
 
-def _advance(model, q, v1, v2, h, scheme):
+def _advance(model, q, ea1, ea2, h, scheme):
     """(q after the signed step h, midpoint stage's fault) from q with
-    velocities v1, v2 there; floats or arrays.
+    step factors ea1, ea2 there; floats or arrays.
 
-    euler steps along v1, v2; midpoint along the velocities at the half
-    step, whose evaluation gives the fault (always 0 for euler).
+    euler steps on ea1, ea2; midpoint on the factors at the half step,
+    whose evaluation gives the fault (always 0 for euler).
     """
     fault = 0
     if scheme == "midpoint":
-        v1, _, v2, _, fault = _flows(model, *_displace(q, v1, v2, 0.5 * h))
-    return _displace(q, v1, v2, h), fault
+        _, _, _, _, fault, ea1, ea2 = _flows(model, *_displace(q, ea1, ea2, 0.5 * h))
+    return _displace(q, ea1, ea2, h), fault
 
 
 def _integer(value, name: str, least: int = 1) -> int:
@@ -218,8 +221,8 @@ def step(
     if direction not in (1, -1):
         raise ValueError(f"direction must be +1 or -1, got {direction!r}")
     start = (float(q.z1), float(q.t1), float(q.z2), float(q.t2))
-    v1, _, v2, _, _ = _flows(model, *start)
-    reached, _ = _advance(model, start, v1, v2, direction * epsilon, scheme)
+    ea1, ea2 = _flows(model, *start)[5:]
+    reached, _ = _advance(model, start, ea1, ea2, direction * epsilon, scheme)
     if not model.contains(*reached):
         raise BoundaryError(f"step left the well region at {ConfigPoint(*reached)}")
     return ConfigPoint(*reached)
@@ -234,11 +237,11 @@ def _integrate(
     q = (float(q0.z1), float(q0.t1), float(q0.z2), float(q0.t2))
     for j in range(n_steps + 1):
         try:
-            v1, lam1, v2, lam2, _ = _flows(model, *q)
+            v1, lam1, v2, lam2, _, ea1, ea2 = _flows(model, *q)
             rows.append(q + (v1, v2, lam1, lam2))
             if j == n_steps:
                 break
-            q, _ = _advance(model, q, v1, v2, h, scheme)
+            q, _ = _advance(model, q, ea1, ea2, h, scheme)
         except FlowError as err:
             if not rows:
                 raise
@@ -263,13 +266,13 @@ def _lockstep(
     rows = []
     with np.errstate(all="ignore"):
         for j in range(n_steps + 1):
-            v1, lam1, v2, lam2, fault = _flows(model, *q)
+            v1, lam1, v2, lam2, fault, ea1, ea2 = _flows(model, *q)
             ended = np.where(ended, ended, fault)
             counts += ended == 0
             rows.append(q + (v1, v2, lam1, lam2))
             if j == n_steps or ended.all():
                 break
-            q, fault = _advance(model, q, v1, v2, epsilon, scheme)
+            q, fault = _advance(model, q, ea1, ea2, epsilon, scheme)
             ended = np.where(ended, ended, fault)
     # [member, record, column], columns as in a Trajectory row.
     table = np.array(rows).transpose(2, 0, 1)
@@ -342,12 +345,18 @@ def _eigenvalue_weights(model: WaveModel, z1: np.ndarray, z2: np.ndarray) -> np.
     """lambda1 * lambda2 on the t1 = t2 = 0 hyperplane; zero where the
     domain or node guard fails.
 
+    Each lambda is ``null_flow``'s m^2 |Psi|^2 + D- D+; a weight reads no
+    velocity, step factor or flow guard, so none is computed.
     z1 and z2 broadcast against each other, so a grid can be passed as a
     row and a column and each mode is evaluated once per grid line.
     """
     with np.errstate(all="ignore"):
-        _, lam1, _, lam2, fault = _flows(model, z1, np.zeros_like(z1), z2, np.zeros_like(z2))
-        return np.where(np.isin(fault, (_NODE, _BOUNDARY)), 0.0, lam1 * lam2)
+        a2, _, dt1, dz1, dt2, dz2, (outside, node) = _checked_fields(
+            model, z1, np.zeros_like(z1), z2, np.zeros_like(z2))
+        m2a2 = model.mass * model.mass * a2
+        lam1 = m2a2 + abs(dt1 - dz1) * abs(dt1 + dz1)
+        lam2 = m2a2 + abs(dt2 - dz2) * abs(dt2 + dz2)
+        return np.where(outside | node, 0.0, lam1 * lam2)
 
 
 def _weight_bound(model: WaveModel) -> float:

@@ -12,10 +12,11 @@ moving with velocity +tanh(a), so a particle at rest acquires coordinate
 velocity -tanh(a).  Null coordinates diagonalize it, picking up the factors
 e^{-a} (on v) and e^{+a} (on u).
 
-``null_step`` is the unguarded kernel, for a float velocity or an array of
-them alike (numpy runs the same expressions elementwise): its callers pass
-velocities already held to the light-speed guard (``null_flow``).  The
-public ``proper_step`` holds the guards, epsilon > 0 and then light speed.
+``proper_step`` is the public null step from a velocity, guarded
+(epsilon > 0, then light speed).  It builds e^a from v through the
+rapidity, and it stays as the reference the run path is checked
+against: the integrator steps on e^a = sqrt(D-/D+) from
+``stress_energy.null_flow`` instead, with no log or exp.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from ._numpy import np
 from .errors import LightlikeVelocityError
 
 # Flows this close to the light cone are rejected rather than clamped; a
@@ -82,15 +82,10 @@ def _require_subluminal(v: float) -> None:
         )
 
 
-def _rapidity(v, array: bool = False):
-    """0.5 ln((1 + v) / (1 - v)), unguarded, of a float or an array."""
-    return 0.5 * (np.log if array else math.log)((1.0 + v) / (1.0 - v))
-
-
 def rapidity_from_velocity(v: float) -> Rapidity:
     """Boost angle with tanh(alpha) = v; rejects |v| >= 1 - 1e-9."""
     _require_subluminal(v)
-    return Rapidity(_rapidity(v))
+    return Rapidity(0.5 * math.log((1.0 + v) / (1.0 - v)))
 
 
 def boost_coords(t: float, z: float, c: float, s: float) -> tuple[float, float]:
@@ -112,24 +107,10 @@ def velocity_addition(v: float, u: float) -> float:
     return (v + u) / (1.0 + v * u)
 
 
-def null_step(v, h: float):
-    """Unguarded kernel of ``proper_step``: (du, dv, dt, dz) of the signed
-    proper-time step h along v, a float or an array of velocities.
-
-    Negating h negates all four increments exactly.  A velocity at or
-    beyond the light-speed guard gives a meaningless step.
-    """
-    array = not isinstance(v, float) and isinstance(v, np.ndarray)
-    ea = (np.exp if array else math.exp)(_rapidity(v, array))
-    dv = h * ea
-    du = h / ea
-    return du, dv, 0.5 * (du + dv), 0.5 * (dv - du)
-
-
 def proper_step(v: float, epsilon: float) -> tuple[NullStep, float, float]:
     """Advance one proper-time increment epsilon along velocity v.
 
-    Returns (null_step, dt, dz) with dv = epsilon e^{+alpha},
+    Returns (NullStep, dt, dz) with dv = epsilon e^{+alpha},
     du = epsilon e^{-alpha}, dt = epsilon cosh(alpha), dz = epsilon
     sinh(alpha), where alpha is the rapidity of v.  The timelike interval
     of the step, dt**2 - dz**2 = du dv, equals epsilon**2 for every
@@ -139,6 +120,7 @@ def proper_step(v: float, epsilon: float) -> tuple[NullStep, float, float]:
     """
     if not epsilon > 0.0:
         raise ValueError(f"epsilon must be positive, got {epsilon!r}")
-    _require_subluminal(v)
-    du, dv, dt, dz = null_step(v, epsilon)
-    return NullStep(du=du, dv=dv, epsilon=epsilon), dt, dz
+    ea = math.exp(rapidity_from_velocity(v).alpha)
+    dv = epsilon * ea
+    du = epsilon / ea
+    return NullStep(du=du, dv=dv, epsilon=epsilon), 0.5 * (du + dv), 0.5 * (dv - du)

@@ -35,10 +35,11 @@ boost scales D- by e^{-a} and D+ by e^{+a}, so the degeneracy floor
 1e-12 (tr T)^2, is the same in every frame; holding at equality, it
 also takes D- D+ = 0 at m = 0 as degenerate.
 
-``null_flow`` is that closed form.  The integrator and the sampler read
-every flow from it, on floats (raising) or on numpy arrays (returning a
-mask) alike; ``log_derivatives`` -> ``assemble`` -> ``eigenflows`` stays
-as the independent route it is checked against.
+``null_flow`` is that closed form, with e^a = sqrt(D-/D+) for the rapidity
+a of v, so a step du = h e^{-a}, dv = h e^{+a} needs no log or exp.  The
+integrator reads every flow and step from it, on floats (raising) or on
+numpy arrays (returning a mask) alike; ``log_derivatives`` -> ``assemble``
+-> ``eigenflows`` -> ``proper_step`` stays as the route it is checked against.
 """
 
 from __future__ import annotations
@@ -204,23 +205,26 @@ def eigenflows(T: StressTensor) -> TimelikeFlow:
 
 
 def null_flow(m2a2, d_t, d_z):
-    """(lambda_time, v, bad) of one particle from m^2 |Psi|^2 and its
+    """(lambda_time, v, e^a, bad) of one particle from m^2 |Psi|^2 and its
     field derivatives d_t = dPsi/dt_i and d_z = dPsi/dz_i.
 
     With D-+ = |d_t -+ d_z|, lambda_time = m^2 |Psi|^2 + D- D+ and
     v = (D- - D+) / (D- + D+): ``eigenflows``' timelike eigenvalue and
-    velocity in closed form.  Floats raise degenerate-flow where
-    (D- D+)^2 is not above the degeneracy floor times (m^2 |Psi|^2)^2, and
-    then lightlike-velocity at the light-speed guard, and give bad = False.
-    Arrays are evaluated everywhere and give instead the mask bad, True
-    wherever a float would raise; v there is meaningless.
+    velocity in closed form, and the null step's factor e^a = sqrt(D-/D+),
+    correctly rounded where a rebuild from v would cancel in 1 - v.  Floats
+    raise degenerate-flow where (D- D+)^2 is not above the degeneracy floor
+    times (m^2 |Psi|^2)^2, then lightlike-velocity at the light-speed guard
+    (so D-+ > 0 past both), and give bad = False.  Arrays are evaluated
+    everywhere and give instead the mask bad, True wherever a float would
+    raise; v and e^a there are meaningless.
     """
     d_minus, d_plus = abs(d_t - d_z), abs(d_t + d_z)
     dd = d_minus * d_plus
     floor = DEGENERACY_FLOOR_RATIO * m2a2 * m2a2
     if not isinstance(dd, float):
         v = (d_minus - d_plus) / (d_minus + d_plus)
-        return m2a2 + dd, v, ~((dd * dd > floor) & (abs(v) < VELOCITY_LIMIT))
+        bad = ~((dd * dd > floor) & (abs(v) < VELOCITY_LIMIT))
+        return m2a2 + dd, v, np.sqrt(d_minus / d_plus), bad
     if not dd * dd > floor:
         raise DegenerateFlowError(
             f"D-D+ = {dd!r} at or below the degeneracy floor for m^2|Psi|^2 = {m2a2!r}"
@@ -230,7 +234,7 @@ def null_flow(m2a2, d_t, d_z):
         raise LightlikeVelocityError(
             f"flow velocity {v!r} at or beyond the light-speed guard"
         )
-    return m2a2 + dd, v, False
+    return m2a2 + dd, v, math.sqrt(d_minus / d_plus), False
 
 
 def velocity_closed_form(ld: LogDerivatives, i: int) -> float:

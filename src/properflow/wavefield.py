@@ -24,7 +24,9 @@ masks.
 A mode computes the factors that do not depend on the point (n pi / L,
 sqrt(2/L), i omega and sqrt(2/L) n pi / L) once, when it is built, so an
 evaluation does only the work that depends on the point: at float
-coordinates through ``math`` and ``cmath``, at arrays through numpy.
+coordinates through ``math`` and ``cmath``, at arrays through numpy.  A
+``ModeSum`` makes that choice once per evaluation and runs every mode's
+formulas from those factors itself.
 """
 
 from __future__ import annotations
@@ -206,19 +208,30 @@ class ModeSum(WaveModel):
         self.mass = first.m
         self.well_width = first.L
         self.amp2_floor = NODE_FLOOR_RATIO * (2.0 / first.L) ** 2
-        self._rest = self.terms[1:]  # not sliced per evaluation
 
     def fields(self, z1, t1, z2, t2):
-        # Summed in term order from the first term's products, not from 0
-        # (0 + -0.0 is 0.0), so one and two terms give exactly a1 b2 and
-        # a1 b2 + b1 a2.
-        a, b = self.terms[0]
-        u, u_t, u_z = a.value_and_grads(z1, t1)
-        w, w_t, w_z = b.value_and_grads(z2, t2)
-        psi, dt1, dz1, dt2, dz2 = u * w, u_t * w, u_z * w, u * w_t, u * w_z
-        for a, b in self._rest:
-            u, u_t, u_z = a.value_and_grads(z1, t1)
-            w, w_t, w_z = b.value_and_grads(z2, t2)
+        # Every mode runs value_and_grads' operations, on functions chosen
+        # once for all four coordinates, summed in term order from the first
+        # term's products, not from 0 (0 + -0.0 is 0.0): one and two terms
+        # give exactly a1 b2 and a1 b2 + b1 a2.
+        if (isinstance(z1, float) and isinstance(t1, float)
+                and isinstance(z2, float) and isinstance(t2, float)):
+            exp, sin, cos = _FLOAT_FUNCS
+        else:
+            exp, sin, cos = np.exp, np.sin, np.cos
+        psi = None
+        for a, b in self.terms:
+            k, amp, i_omega, amp_k = a._factors
+            phase = exp(i_omega * t1)
+            u = amp * sin(k * z1) * phase
+            u_t, u_z = i_omega * u, amp_k * cos(k * z1) * phase
+            k, amp, i_omega, amp_k = b._factors
+            phase = exp(i_omega * t2)
+            w = amp * sin(k * z2) * phase
+            w_t, w_z = i_omega * w, amp_k * cos(k * z2) * phase
+            if psi is None:
+                psi, dt1, dz1, dt2, dz2 = u * w, u_t * w, u_z * w, u * w_t, u * w_z
+                continue
             psi += u * w
             dt1 += u_t * w
             dz1 += u_z * w

@@ -155,6 +155,57 @@ def test_failed_runs_are_recorded_and_the_pairs_go_on(tool, monkeypatch, capsys)
     assert out.count("RE-RUN ") == 3
 
 
+def test_json_holds_the_table_the_failures_and_the_reruns(tool, monkeypatch, tmp_path, capsys):
+    """--json PATH writes what the tool prints: per workload and metric
+    both sides' quartiles, the change, wins, gain > IQR and the flag, then
+    the failed runs and their re-runs."""
+    problems = "[simulate-desync] check failed: invocation 4: moved\n"
+    canned = {
+        ("parent", 1): _proc(0, _line(steps_per_s=100.0, peak_rss_mb=30.0)),
+        ("change", 1): _proc(0, _line(steps_per_s=120.0, peak_rss_mb=34.0)),
+        ("change", 2): _proc(0, _line(steps_per_s=118.0, peak_rss_mb=34.0)),
+        ("parent", 2): _proc(1, _line(steps_per_s=104.0, peak_rss_mb=30.0), problems),
+    }
+    monkeypatch.setattr(
+        tool, "_bench",
+        lambda tree, workload, seed, seconds, trace:
+            canned["change" if tree == tool.ROOT else "parent", seed])
+    monkeypatch.setattr(
+        tool, "rerun",
+        lambda parent_tree, workload, seed, k, scratch:
+            tool.Rerun(workload, seed, k, (1, 0), ("differs: exit_code",)))
+    monkeypatch.setattr(tool, "export_ref", lambda ref, dest: None)
+    path = tmp_path / "session.json"
+    handlers = {signum: signal.getsignal(signum) for signum in (signal.SIGTERM, signal.SIGINT)}
+    try:
+        code = tool.main(["--parent", "abc", "--pairs", "2", "--seed", "1", "--seconds", "1",
+                          "--workload", "simulate-desync", "--json", str(path)])
+    finally:  # main installs its own
+        for signum, handler in handlers.items():
+            signal.signal(signum, handler)
+    assert code == 1
+    printed = capsys.readouterr().out
+    session = json.loads(path.read_text())
+    assert {k: session[k] for k in ("parent", "pairs", "seconds", "seeds", "trace")} == {
+        "parent": "abc", "pairs": 2, "seconds": 1.0, "seeds": [1, 2], "trace": 0}
+    sps, rss = session["rows"]
+    assert sps == {
+        "workload": "simulate-desync", "metric": "steps_per_s", "unit": "steps/s",
+        "parent": [101.0, 102.0, 103.0], "change": [118.5, 119.0, 119.5],
+        "relative_change": pytest.approx(17.0 / 102.0), "wins": 2, "pairs": 2,
+        "clears_iqr": True, "worse": False, "flag": ""}
+    assert (rss["metric"], rss["wins"], rss["worse"], rss["flag"]) == (
+        "peak_rss_mb", 0, True, "WORSE")
+    assert session["failures"] == [{
+        "workload": "simulate-desync", "side": "parent", "pair": 2, "seed": 2,
+        "exit_code": 1, "failed": 0, "attempted": 10,
+        "problems": ["[simulate-desync] check failed: invocation 4: moved"]}]
+    assert session["reruns"] == [{
+        "workload": "simulate-desync", "seed": 2, "k": 4, "exit_codes": [1, 0],
+        "differences": ["differs: exit_code"]}]
+    assert "+16.7%" in printed and "WORSE" in printed and printed.count("RE-RUN ") == 1
+
+
 # Stub sources for a tree's bench/workloads.py and properflow.cli: one
 # invocation per k that writes a file of its own and exits with code EXIT.
 STUB_WORKLOADS = """

@@ -6,13 +6,21 @@ import subprocess
 import sys
 import tracemalloc
 from dataclasses import astuple
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 import properflow as pf
 from properflow.errors import BoundaryError, FlowError, NodeProximityError, SamplingError
-from properflow.integrator import SCHEMES, _eigenvalue_weights, _flows, _weight_bound
+from properflow.integrator import (
+    SCHEMES,
+    _displace,
+    _eigenvalue_weights,
+    _flows,
+    _weight_bound,
+)
+from properflow.stress_energy import null_flow
 
 L = math.pi
 EPS = 0.01
@@ -612,7 +620,7 @@ def test_sampler_eigenvalue_formula_matches_eigenflows(model):
             continue
     z1, t1, z2, t2 = (np.array(c) for c in zip(*((q.z1, q.t1, q.z2, q.t2)
                                                   for q, _ in points)))
-    _, lam1, _, lam2, fault = _flows(model, z1, t1, z2, t2)
+    _, lam1, _, lam2, fault, _, _ = _flows(model, z1, t1, z2, t2)
     assert not fault.any()
     for i, sampled in ((1, lam1), (2, lam2)):
         kernel = np.array([pf.eigenflows(pf.assemble(ld, i, model.mass)).lambda_time
@@ -668,12 +676,90 @@ def test_closed_form_matches_reference_route(state):
             ref = [pf.eigenflows(pf.assemble(ld, i, state.mass)) for i in (1, 2)]
         except pf.FlowError:
             continue
-        v1, lam1, v2, lam2, _ = _flows(state, *astuple(q))
+        v1, lam1, v2, lam2, _, _, _ = _flows(state, *astuple(q))
         assert (v1, v2) == pytest.approx((ref[0].v, ref[1].v), rel=0.0, abs=1e-13), q
         assert (lam1, lam2) == pytest.approx(
             (ref[0].lambda_time, ref[1].lambda_time), rel=rel, abs=0.0
         ), q
         compared += 1
+
+
+def _null_derivatives(d_minus, d_plus, phase_minus, phase_plus):
+    """Complex (d_t, d_z) with d_t -+ d_z = D-+ e^{i phase-+}, to rounding."""
+    a = d_minus * np.exp(1j * phase_minus)
+    b = d_plus * np.exp(1j * phase_plus)
+    return 0.5 * (b + a), 0.5 * (b - a)
+
+
+def test_step_factor_is_exact_up_to_the_light_speed_guard():
+    """The run path's e^a = sqrt(D-/D+), on floats and on arrays, and the
+    (dt, dz) ``_displace`` makes from it, against 50 digits from the D-+
+    each path sees, at 20,000 draws with D-/D+ log-uniform in
+    [1e-8.5, 1e8.5], so |v| reaches past 1 - 1e-8.
+
+    The bounds are stated from the rounding, before any run: e^a takes
+    one division and one square root, each correctly rounded, so its
+    relative error is at most u + u/2 with u = 2**-53 (1.7e-16): bound
+    2e-16.  dv = h e^a and du = h / e^a add one rounding each, and their
+    sum or difference one more, so dt and dz stay within (e^a's error
+    + 2u) times dt (3.9e-16): bound 5e-16 times dt.  A factor rebuilt
+    from v as exp(artanh v) cancels in 1 - v and misses by ~1e-8.
+    """
+    import mpmath
+
+    rng = np.random.default_rng(2701)
+    n = 20_000
+    ratio = 10.0 ** rng.uniform(-8.5, 8.5, n)
+    scale = 10.0 ** rng.uniform(-3.0, 3.0, n)
+    d_t, d_z = _null_derivatives(scale * np.sqrt(ratio), scale / np.sqrt(ratio),
+                                 *rng.uniform(-math.pi, math.pi, (2, n)))
+    m2a2 = 1e-3 * scale * scale
+    h = 0.01
+    _, v_arr, ea_arr, bad = null_flow(m2a2, d_t, d_z)
+    assert not bad.any()
+    assert np.max(np.abs(v_arr)) > 1.0 - 1e-8
+    arr_minus, arr_plus = np.abs(d_t - d_z), np.abs(d_t + d_z)
+
+    def ratio_root(d_minus, d_plus):
+        return mpmath.sqrt(mpmath.mpf(float(d_minus)) / mpmath.mpf(float(d_plus)))
+
+    worst_ea = worst_step = 0.0
+    with mpmath.workdps(50):
+        for i in range(n):
+            dt_i, dz_i = complex(d_t[i]), complex(d_z[i])
+            _, _, ea, _ = null_flow(float(m2a2[i]), dt_i, dz_i)
+            exact = ratio_root(abs(dt_i - dz_i), abs(dt_i + dz_i))
+            exact_arr = ratio_root(arr_minus[i], arr_plus[i])
+            worst_ea = max(worst_ea, float(abs(ea - exact) / exact),
+                           float(abs(ea_arr[i] - exact_arr) / exact_arr))
+            dz, dt = _displace((0.0, 0.0, 0.0, 0.0), ea, ea, h)[:2]
+            dt_exact, dz_exact = h * (exact + 1 / exact) / 2, h * (exact - 1 / exact) / 2
+            miss = max(abs(dt - dt_exact), abs(dz - dz_exact))
+            worst_step = max(worst_step, float(miss / dt_exact))
+    assert worst_ea <= 2e-16
+    assert worst_step <= 5e-16
+
+
+@pytest.mark.parametrize("h", [EPS, 0.5 * EPS, 0.37, 1e-6])
+def test_displacement_is_one_formula_for_floats_and_arrays(h):
+    """From the same e^a, ``_displace`` gives the same bits on floats and on
+    1-element arrays; negating h negates all four increments exactly; and
+    each step's interval dt^2 - dz^2, taken exactly, is h^2 within
+    1e-15 (dt^2 + dz^2): du and dv carry one rounding each and dt and dz
+    one more, so the miss is at most ~8u (dt^2 + dz^2), u = 2**-53.
+    Relative to h^2 no such bound holds: at e^a = 1e4, dt^2 is 2.5e7 h^2,
+    and one rounding of dt moves the interval by ~5e-9 h^2."""
+    rng = np.random.default_rng(2702)
+    origin = (0.0, 0.0, 0.0, 0.0)
+    for ea1, ea2 in 10.0 ** rng.uniform(-4.25, 4.25, (200, 2)):
+        floats = _displace(origin, float(ea1), float(ea2), h)
+        arrays = _displace(tuple(np.zeros(1) for _ in origin), np.array([ea1]),
+                           np.array([ea2]), h)
+        assert floats == tuple(float(a[0]) for a in arrays)
+        assert _displace(origin, float(ea1), float(ea2), -h) == tuple(-d for d in floats)
+        dz1, dt1, dz2, dt2 = map(Fraction, floats)
+        for dt, dz in ((dt1, dz1), (dt2, dz2)):
+            assert abs(dt * dt - dz * dz - Fraction(h) ** 2) <= 1e-15 * (dt * dt + dz * dz)
 
 
 class NanAtOnePoint(pf.ModeSum):

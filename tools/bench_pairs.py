@@ -3,7 +3,7 @@
 Usage (from the repository root):
 
     python3 tools/bench_pairs.py --parent HEAD~1 --pairs 10 --seconds 25 \\
-        --workload simulate-desync --seed 2101
+        --workload simulate-desync --seed 2101 --json session.json
 
 Exports PARENT into a temporary directory with ``git archive`` (the
 export function of ``output_identity.py``) and runs
@@ -18,7 +18,9 @@ and whether it is better in the median by more than the width of the
 parent's interquartile range.  A metric whose median is worse than the
 parent's by more than its ``BENCHMARK.json`` bound is flagged ``WORSE``.
 Metric directions and bounds come from ``BENCHMARK.json`` in this
-checkout.
+checkout.  With ``--json PATH`` the same session is also written to PATH
+(``report``): its arguments, the table's rows, the failed runs and the
+re-runs.
 
 A run that exits non-zero (an output failed ``bench/check.py``, or a
 command or the harness crashed) does not stop the others.  It is listed
@@ -58,7 +60,7 @@ import statistics
 import subprocess
 import sys
 import tempfile
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -177,6 +179,12 @@ def summarize(runs: list[tuple[str, dict, dict]], spec: dict) -> list[Row]:
     return rows
 
 
+def relative_change(r: Row) -> float | None:
+    """(change median - parent median) / |parent median|; None for a zero
+    parent median."""
+    return (r.change[1] - r.parent[1]) / abs(r.parent[1]) if r.parent[1] else None
+
+
 def format_rows(rows: list[Row]) -> str:
     """The summary as an aligned text table."""
 
@@ -186,10 +194,10 @@ def format_rows(rows: list[Row]) -> str:
     table = [("workload", "metric", "unit", "parent median [q1, q3]",
               "change median [q1, q3]", "change", "wins", "gain>IQR", "flag")]
     for r in rows:
-        rel = f"{(r.change[1] - r.parent[1]) / abs(r.parent[1]):+.1%}" if r.parent[1] else "n/a"
-        table.append((r.workload, r.metric, r.unit, spread(r.parent), spread(r.change), rel,
-                      f"{r.wins}/{r.pairs}", "yes" if r.clears_iqr else "no",
-                      "WORSE" if r.worse else ""))
+        rel = relative_change(r)
+        table.append((r.workload, r.metric, r.unit, spread(r.parent), spread(r.change),
+                      "n/a" if rel is None else f"{rel:+.1%}", f"{r.wins}/{r.pairs}",
+                      "yes" if r.clears_iqr else "no", "WORSE" if r.worse else ""))
     widths = [max(len(line[i]) for line in table) for i in range(len(table[0]))]
     return "\n".join(
         "  ".join(cell.ljust(w) for cell, w in zip(line, widths)).rstrip() for line in table
@@ -299,6 +307,22 @@ def run_pairs(parent_tree: Path, workloads: list[str], pairs: int, seed: int, se
     return runs, failures
 
 
+def report(args: argparse.Namespace, rows: list[Row], failures: list[Failure],
+           reruns: list[Rerun]) -> dict:
+    """The session as JSON: the arguments, then per row both sides'
+    (q1, median, q3), the relative change of the median (None for a zero
+    parent median), the wins, whether the gain clears the parent's IQR and
+    the flag, then the failed runs and the re-runs as the tool prints them."""
+    return {
+        "parent": args.parent, "pairs": args.pairs, "seconds": args.seconds,
+        "seeds": [args.seed, args.seed + args.pairs - 1], "trace": args.trace,
+        "rows": [dict(asdict(r), relative_change=relative_change(r),
+                      flag="WORSE" if r.worse else "") for r in rows],
+        "failures": [asdict(f) for f in failures],
+        "reruns": [asdict(r) for r in reruns],
+    }
+
+
 def _stop(signum, frame):
     raise SystemExit(128 + signum)
 
@@ -314,6 +338,8 @@ def main(argv: list[str] | None = None) -> int:
                     help="repeat for several; default every workload")
     ap.add_argument("--seed", type=int, default=1)
     ap.add_argument("--trace", type=int, choices=(0, 1), default=0)
+    ap.add_argument("--json", type=Path, metavar="PATH",
+                    help="also write the summary, failures and re-runs to PATH")
     args = ap.parse_args(argv)
     if args.pairs < 1 or not args.seconds > 0.0:
         print("bench_pairs: --pairs and --seconds must be positive", file=sys.stderr)
@@ -340,11 +366,14 @@ def main(argv: list[str] | None = None) -> int:
         shutil.rmtree(scratch, ignore_errors=True)
     print(f"parent {args.parent}, {args.pairs} pairs of {args.seconds:g} s, "
           f"seeds {args.seed}-{args.seed + args.pairs - 1}, trace {args.trace}")
-    print(format_rows(summarize(runs, spec)))
+    rows = summarize(runs, spec)
+    print(format_rows(rows))
     for f in failures:
         print(format_failure(f))
     for r in reruns:
         print(format_rerun(r))
+    if args.json is not None:
+        args.json.write_text(json.dumps(report(args, rows, failures, reruns), indent=1) + "\n")
     return 1 if failures else 0
 
 
